@@ -48,7 +48,6 @@ from .dynamics import (
     evolve_three_wave,
 )
 from .spectra import (
-    QuadratureError,
     SingularityError,
     SpectrumCurve,
     antistokes_spectrum,

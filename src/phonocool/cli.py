@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,9 +22,7 @@ from .coupling import GridError, beta_acoustic, load_mode_field, normalize_mode
 from .dynamics import IntegrationError, collective_rates, evolve_three_wave
 from .langevin import CovarianceError, simulate_ensemble
 from . import spectra
-from .spectra import QuadratureError, SingularityError
-
-THREADS_ENV = "PHONOCOOL_THREADS"
+from .spectra import SingularityError
 
 
 class CliError(ValueError):
@@ -187,16 +183,6 @@ def _write_csv(path: str, header_lines: list[str], columns: list[np.ndarray]) ->
                header="\n".join(header_lines), comments="# ")
 
 
-def _worker_count() -> int | None:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise CliError(f"{THREADS_ENV} must be a positive integer")
-        return n
-    return None
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -313,9 +299,7 @@ def cmd_sweep(args) -> int:
         p = replace(params, **{args.axis: v})
         return fn(validate(p))
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = np.fromiter(pool.map(point, values), dtype=float,
-                              count=values.size)
+    results = np.array([point(v) for v in values])
 
     cfg = _system_config(args)
     cfg.update({"axis": args.axis, "from": args.start, "to": args.stop,
@@ -462,7 +446,7 @@ def run(config: RunConfig) -> int:
 def _dispatch(invoke) -> int:
     try:
         return invoke()
-    except (SingularityError, QuadratureError, CovarianceError,
+    except (SingularityError, CovarianceError,
             IntegrationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

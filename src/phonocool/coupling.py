@@ -71,11 +71,6 @@ class ModeField:
         return tuple(ax.size for ax in self.axes)
 
 
-def _spacings(field_: ModeField) -> list[float]:
-    # uniform spacing per periodic axis; unused for non-periodic axes
-    return [ax[1] - ax[0] for ax in field_.axes]
-
-
 def _partial(values: np.ndarray, axis: int, coords: np.ndarray,
              periodic: bool) -> np.ndarray:
     """Second-order partial derivative of a sampled scalar field along one axis."""

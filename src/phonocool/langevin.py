@@ -170,11 +170,13 @@ def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
                if dump_dir is not None else None)
         gens = [_substream(seed, i) for i in range(lo, hi)]
         chunk = 1024
+        noise = np.empty((nb, chunk, 3), dtype=complex)
         step = 0
         while step < n_tot:
             csize = min(chunk, n_tot - step)
-            z = np.stack([_complex_normals(g, csize) for g in gens])
-            z = z @ ct
+            for j, g in enumerate(gens):
+                noise[j, :csize] = _complex_normals(g, csize)
+            z = noise[:, :csize] @ ct
             for s in range(csize):
                 x = x @ et + z[:, s]
                 step += 1

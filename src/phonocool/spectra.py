@@ -6,6 +6,14 @@ The closed forms are cross-checked by spectrum_oracle, which solves the
 spectra from the noise channel densities (phonon channel i carries
 2 gamma_i nbar_i; the cavity channel carries zero weight for normally
 ordered moments).
+
+Steady-state occupancies come from the stationary normally ordered
+covariance P of the linear Langevin system, which solves the Lyapunov
+equation M P + P M^dag + N = 0 with M the drift matrix and
+N = diag(0, 2 gamma1 nbar1, 2 gamma2 nbar2); <b_i^dag b_i> = P_ii.  A
+phonon mode with zero half-width and zero coupling is a free oscillator
+that cannot affect the other mode, so it is dropped and only the coupled
+(cavity, phonon) block is solved.
 """
 from __future__ import annotations
 
@@ -14,18 +22,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.linalg import solve_continuous_lyapunov
 
 from .core import SystemParams, validate
 from .dynamics import drift_matrix
 
 
 class SingularityError(RuntimeError):
-    """Evaluation hit an exact pole (zero phonon width at resonance)."""
-
-
-class QuadratureError(RuntimeError):
-    """The occupancy integral did not converge to the requested accuracy."""
+    """Evaluation hit an exact pole (zero phonon width at resonance) or a
+    steady state that does not exist (marginally stable drift)."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,11 @@ def _phonon_density(p: SystemParams, mode: int, omega) -> np.ndarray:
     return num / (np.abs(d)**2 * np.abs(d2)**2)
 
 
+# a drift eigenvalue decaying slower than this fraction of ||M|| is
+# indistinguishable from marginal in double precision
+_MARGIN_RTOL = 64 * np.finfo(float).eps
+
+
 def _require_mode(mode: int) -> None:
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
@@ -150,41 +160,38 @@ def antistokes_spectrum(params: SystemParams, omegas) -> SpectrumCurve:
                          kind="antistokes")
 
 
-def occupancy(params: SystemParams, mode: int, *, window: float | None = None,
-              include_tails: bool = True, with_error: bool = False):
-    """Steady-state phonon occupancy (1/2pi) int S(omega) d omega.
+def occupancy(params: SystemParams, mode: int) -> float:
+    """Steady-state phonon occupancy <b_i^dag b_i> of mode 1 or 2.
 
-    Adaptive quadrature over a core window of half-width
-    Omega + 50 kappa2 (override with `window`), plus the infinite tails
-    unless include_tails=False.  With with_error=True returns
-    (value, estimated_error).
+    Returns P_ii of the stationary covariance that solves
+    M P + P M^dag + N = 0 (Bartels-Stewart), with N = diag(0,
+    2 gamma1 nbar1, 2 gamma2 nbar2).  A zero-width phonon mode with zero
+    coupling is dropped and the remaining (cavity, phonon) block is solved;
+    a zero-width mode that is coupled or requested raises SingularityError,
+    as does a drift whose slowest eigenvalue is not decaying beyond
+    rounding (no steady state to report).
     """
     p = validate(params)
     _require_mode(mode)
-    if p.gamma1 <= 0 or p.gamma2 <= 0:
+    keep = [0]
+    for i, gamma, g in ((1, p.gamma1, p.g1), (2, p.gamma2, p.g2)):
+        if gamma > 0:
+            keep.append(i)
+        elif i == mode or g != 0:
+            raise SingularityError(
+                "occupancy requires positive phonon half-widths (gamma1, gamma2) "
+                "unless the zero-width mode is uncoupled and not requested")
+    m = drift_matrix(p).m[np.ix_(keep, keep)]
+    eig = np.linalg.eigvals(m)
+    slowest = eig[np.argmax(eig.real)]
+    if slowest.real >= -_MARGIN_RTOL * np.linalg.norm(m):
         raise SingularityError(
-            "occupancy requires positive phonon half-widths (gamma1, gamma2)")
-
-    def f(w):
-        return _phonon_density(p, mode, w)
-
-    w_core = abs(p.omega) + 50 * p.kappa2 if window is None else float(window)
-    breaks = sorted({x for x in (-p.omega, 0.0, p.omega, p.delta)
-                     if -w_core < x < w_core})
-    scale = 2 * np.pi * (p.nbar1 + p.nbar2 + 1.0)
-    val, err = quad(f, -w_core, w_core, points=breaks or None,
-                    limit=500, epsabs=1e-13 * scale, epsrel=1e-12)
-    if include_tails:
-        for a, b in ((w_core, np.inf), (-np.inf, -w_core)):
-            v, e = quad(f, a, b, limit=200, epsabs=1e-13 * scale, epsrel=1e-10)
-            val += v
-            err += e
-    val /= 2 * np.pi
-    err /= 2 * np.pi
-    if err > max(1e-6 * abs(val), 1e-12):
-        raise QuadratureError(
-            f"occupancy quadrature error {err:.3g} too large for value {val:.6g}")
-    return (val, err) if with_error else val
+            "drift matrix is not Hurwitz to working precision: marginal "
+            f"eigenvalue {slowest:.6g}")
+    noise = np.array([0.0, 2 * p.gamma1 * p.nbar1, 2 * p.gamma2 * p.nbar2])
+    cov = solve_continuous_lyapunov(m, -np.diag(noise[keep]))
+    i = keep.index(mode)
+    return float(cov[i, i].real)
 
 
 def cooling_ratio(params: SystemParams, mode: int) -> float:
@@ -202,7 +209,7 @@ def cooling_ratio(params: SystemParams, mode: int) -> float:
 def cooling_ratio_adiabatic(params: SystemParams, mode: int) -> float:
     """Single-mode adiabatic estimate gamma_i / gamma_i_eff with the cavity
     Lorentzian evaluated at the mode's resonance frequency.  Useful as a
-    sanity check on the full integral in the kappa2 >> gamma regime."""
+    sanity check on the full steady state in the kappa2 >> gamma regime."""
     p = validate(params)
     _require_mode(mode)
     gamma = p.gamma1 if mode == 1 else p.gamma2

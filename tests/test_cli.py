@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from phonocool import SystemParams, phonon_spectrum, plane_wave, save_mode_field
+from phonocool import (SystemParams, cooling_ratio, phonon_spectrum, plane_wave,
+                       save_mode_field)
 from phonocool.cli import CliError, RunConfig, main, run
 
 
@@ -77,6 +79,37 @@ def test_sweep_tracks_paper_values(tmp_path):
     g2_half = np.argmin(np.abs(data[:, 0] - 0.5))
     assert data[g2_half, 1] == pytest.approx(0.288, abs=0.02)
     assert np.all(np.diff(data[:, 1]) > 0)  # reheating grows with g2
+
+
+# cooling-ratio:1 over g2 in [0, 0.6] at 25 points, as computed by adaptive
+# quadrature of the spectrum before occupancies came from the Lyapunov solve
+QUADRATURE_SWEEP = [
+    0.10978356674174908, 0.11104617695124644, 0.11427038979786694,
+    0.11839738946522674, 0.12273225266392196, 0.12708249316861336,
+    0.13153345610234882, 0.13626497474434687, 0.14147012973762305,
+    0.1473298784987963, 0.15400814979391186, 0.16165206449719033,
+    0.17039216156813808, 0.18034141340144486, 0.1915930982411795,
+    0.20421795944549617, 0.21826115066984858, 0.2337394462165864,
+    0.2506391421766244, 0.26891499618894377, 0.2884904518217095,
+    0.309259270583617, 0.33108855907008156, 0.3538230444052225,
+    0.3772903338613357,
+]
+
+
+def test_sweep_equals_pointwise_cooling_ratio(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = invoke(["sweep", "--axis", "g2", "--from", "0", "--to", "0.6",
+                   "--count", "25", "--metric", "cooling-ratio:1",
+                   "--g1", "0.3", "--gamma1", "0.01", "--gamma2", "0.01",
+                   "--omega", "0.1", "--nbar1", "100", "--output", str(out)])
+    assert code == 0
+    data = np.loadtxt(out, delimiter=",")
+    p = SystemParams(kappa2=1.0, omega=0.1, gamma1=0.01, gamma2=0.01,
+                     g1=0.3, nbar1=100.0)
+    pointwise = [cooling_ratio(replace(p, g2=g2), 1)
+                 for g2 in np.linspace(0, 0.6, 25)]
+    assert np.array_equal(data[:, 1], pointwise)
+    assert np.allclose(data[:, 1], QUADRATURE_SWEEP, rtol=1e-9, atol=0)
 
 
 def test_sweep_rejects_unknown_axis(tmp_path, capsys):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +21,10 @@ from phonocool import (
     save_curve,
     spectrum_oracle,
 )
+from phonocool import spectra
+from phonocool.dynamics import DriftMatrix
+
+from _quadrature import occupancy_quadrature
 
 FIG2 = SystemParams(kappa2=1.0, delta=0.0, omega=0.1, gamma1=0.01,
                     gamma2=0.01, g1=0.3, g2=0.5, nbar1=100.0)
@@ -194,10 +201,11 @@ def test_antistokes_two_peaks_track_response_poles():
 
 
 def test_uncoupled_occupancy_equals_nbar():
-    val, err = occupancy(UNCOUPLED, 1, with_error=True)
+    # the quadrature reference must recover the Lorentzian limit on its own
+    val, err = occupancy_quadrature(UNCOUPLED, 1)
     assert abs(val - 100.0) / 100.0 < 1e-6
     assert err < 1e-4
-    assert occupancy(UNCOUPLED, 2) == pytest.approx(100.0, rel=1e-6)
+    assert occupancy_quadrature(UNCOUPLED, 2)[0] == pytest.approx(100.0, rel=1e-6)
 
 
 def test_occupancy_figures():
@@ -211,6 +219,48 @@ def test_occupancy_requires_positive_widths():
         occupancy(replace(FIG2, gamma1=0.0), 1)
 
 
+@pytest.mark.parametrize("mode", [1, 2])
+def test_decoupled_zero_width_mode_is_dropped(mode):
+    # the other mode is a free oscillator with no effect on `mode`, so the
+    # occupancy equals that of the system where it is merely uncoupled
+    other = 3 - mode
+    free = replace(FIG2, **{f"gamma{other}": 0.0, f"g{other}": 0j})
+    damped = replace(free, **{f"gamma{other}": 0.01})
+    assert occupancy(free, mode) == pytest.approx(occupancy(damped, mode),
+                                                  rel=1e-12)
+    assert cooling_ratio(free, mode) < 1
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_zero_width_mode_coupled_or_requested_is_rejected(mode):
+    other = 3 - mode
+    coupled = replace(FIG2, **{f"gamma{other}": 0.0})
+    with pytest.raises(SingularityError, match="positive phonon half-widths"):
+        occupancy(coupled, mode)
+    requested = replace(FIG2, **{f"gamma{mode}": 0.0, f"g{mode}": 0j})
+    with pytest.raises(SingularityError, match="positive phonon half-widths"):
+        occupancy(requested, mode)
+
+
+def test_occupancy_rejects_marginal_drift():
+    # Omega = delta = 0 and g1 = g2 leave the dark mode (b1 - b2)/sqrt2
+    # damped only by gamma, far below rounding of the cavity-scale rates
+    dark = SystemParams(kappa2=1.0, omega=0.0, gamma1=1e-30, gamma2=1e-30,
+                        g1=0.3, g2=0.3, nbar1=100.0, nbar2=100.0)
+    with pytest.raises(SingularityError, match="marginal eigenvalue"):
+        occupancy(dark, 1)
+
+
+def test_occupancy_rejects_unstable_drift(monkeypatch):
+    # a growing drift has no steady state, although the Lyapunov equation
+    # still has a (negative-definite) solution
+    stable = drift_matrix(FIG2).m
+    monkeypatch.setattr(spectra, "drift_matrix",
+                        lambda p: DriftMatrix(m=-stable))
+    with pytest.raises(SingularityError, match="not Hurwitz"):
+        occupancy(FIG2, 1)
+
+
 def test_occupancy_matches_fine_trapezoid():
     # quadrature self-check over the core window (tails excluded on both
     # sides so the comparison measures quadrature quality, not truncation)
@@ -219,8 +269,30 @@ def test_occupancy_matches_fine_trapezoid():
     om = np.linspace(-w, w, 1_000_000)
     s = phonon_spectrum(p, 1, om).values
     ref = np.trapezoid(s, om) / (2 * np.pi)
-    val = occupancy(p, 1, include_tails=False)
+    val, _ = occupancy_quadrature(p, 1, include_tails=False)
     assert abs(val - ref) / ref < 1e-6
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_occupancy_matches_quadrature_random_draws(mode):
+    rng = np.random.default_rng(2044)
+    worst = 0.0
+    for _ in range(100):
+        p = random_params(rng)
+        ref, _ = occupancy_quadrature(p, mode)
+        worst = max(worst, abs(occupancy(p, mode) - ref) / ref)
+    assert worst <= 1e-9
+
+
+def test_import_does_not_load_quadrature():
+    # a fresh interpreter that imports the same phonocool as this one
+    code = ("import sys, phonocool, phonocool.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_cooling_ratio_without_coupling_is_one():
