@@ -64,7 +64,9 @@ def evolve_three_wave(params: ThreeWaveParams, init: ThreeWaveState,
         du/dt  = -Gamma  u - i beta* a1* a2 e^{-i delta t}
 
     A stability guard requires dt * max(rates) < 0.1, where the rate scale
-    includes |beta| times the largest initial amplitude.
+    includes |beta| times the largest initial amplitude.  The run takes
+    round(t_end / dt) steps of dt, so it ends within dt/2 of t_end;
+    Trajectory.t records the times actually reached.
     """
     p = validate_three_wave(params)
     if not dt > 0:

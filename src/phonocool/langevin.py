@@ -119,6 +119,17 @@ def _complex_normals(gen: np.random.Generator, n_steps: int) -> np.ndarray:
     return (w[..., 0] + 1j * w[..., 1]) / np.sqrt(2.0)
 
 
+def _whole_steps(span: float, dt: float, name: str) -> int:
+    """span / dt, which must be a whole number to 1e-9 relative: a span
+    that is not is rejected rather than rounded to a different one."""
+    n = span / dt
+    k = round(n)
+    if abs(n - k) > 1e-9 * abs(n):
+        raise ValueError(f"{name} = {span:g} is not a whole number of "
+                         f"steps of dt = {dt:g} ({n:.6g} steps)")
+    return int(k)
+
+
 def _check_burn_in(params: SystemParams, burn_in: float) -> None:
     m = drift_matrix(params).m
     rates = -np.linalg.eigvals(m).real
@@ -137,18 +148,18 @@ def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
 
     Each trajectory starts from the vacuum, is propagated with the exact
     one-step map, and contributes the time average of |b_i|^2 over
-    (burn_in, t_end].  With dump_dir set, the recorded window of every
-    trajectory is written as CSV (one file per trajectory; large).
+    (burn_in, t_end]; t_end and burn_in must be whole numbers of steps dt.
+    With dump_dir set, the recorded window of every trajectory is written
+    as CSV (one file per trajectory; large).
     """
     p = validate(params)
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
     if dt <= 0 or t_end <= burn_in or burn_in < 0:
         raise ValueError("need dt > 0 and t_end > burn_in >= 0")
+    n_tot = _whole_steps(t_end, dt, "t_end")
+    n_burn = _whole_steps(burn_in, dt, "burn_in")
     _check_burn_in(p, burn_in)
-
-    n_tot = int(round(t_end / dt))
-    n_burn = int(round(burn_in / dt))
     n_rec = n_tot - n_burn
     if n_rec < 1:
         raise ValueError("no recorded samples: increase t_end or reduce burn_in")
@@ -253,7 +264,8 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
     segment_length is in samples (default: the whole post-burn-in record,
     one segment per trajectory); segments overlap by the given fraction
     and are Hann-windowed.  If an omegas grid is supplied, the native FFT
-    bins are linearly interpolated onto it.
+    bins are linearly interpolated onto it.  t_end and burn_in must be
+    whole numbers of steps dt.
     """
     p = validate(params)
     if dt <= 0 or t_end <= burn_in or burn_in < 0:
@@ -263,10 +275,9 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
         raise ValueError(
             f"record too short: need t_end - burn_in >= {50.0 / min(gammas):g} "
             "(50 / smallest phonon half-width)")
+    n_tot = _whole_steps(t_end, dt, "t_end")
+    n_burn = _whole_steps(burn_in, dt, "burn_in")
     _check_burn_in(p, burn_in)
-
-    n_tot = int(round(t_end / dt))
-    n_burn = int(round(burn_in / dt))
     n_rec = n_tot - n_burn
     n_seg = n_rec if segment_length is None else int(segment_length)
     if n_seg < 8 or n_seg > n_rec:

@@ -255,3 +255,78 @@ def test_run_config_rejects_unknown_option(capsys):
     code = run(RunConfig("cooling-ratio", {"bogus": 1}))
     assert code == 1
     assert "unknown option" in capsys.readouterr().err
+
+
+# Every optional flag of each command, and the sidecar "config" block it
+# must produce (as recorded before the command table; three-wave and
+# coupling then dropped kappa2-hz).  Paths are relative to the test's cwd.
+SYSTEM_ARGV = ["--delta", "0.05", "--omega", "0.1", "--gamma1", "0.02",
+               "--gamma2", "0.03", "--g1=0.3+0.1j", "--g2", "0.5",
+               "--nbar1", "100", "--nbar2", "50", "--kappa2-hz", "1e6"]
+SYSTEM_CONFIG = {"delta": 0.05, "omega": 0.1, "gamma1": 0.02, "gamma2": 0.03,
+                 "g1": "(0.3+0.1j)", "g2": "(0.5+0j)", "nbar1": 100.0,
+                 "nbar2": 50.0, "kappa2-hz": 1000000.0, "output": "out"}
+GRID_ARGV = ["--omega-min=-1", "--omega-max", "1.2", "--count", "41"]
+GRID_CONFIG = {"omega-min": -1.0, "omega-max": 1.2, "count": 41}
+ROUND_TRIP = {
+    "spectrum": (SYSTEM_ARGV + GRID_ARGV + ["--mode", "2", "--normalized"],
+                 {**SYSTEM_CONFIG, **GRID_CONFIG, "mode": 2, "normalized": True}),
+    "antistokes": (SYSTEM_ARGV + GRID_ARGV, {**SYSTEM_CONFIG, **GRID_CONFIG}),
+    "cooling-ratio": (SYSTEM_ARGV + ["--mode", "2"], {**SYSTEM_CONFIG, "mode": 2}),
+    "simulate": (SYSTEM_ARGV + ["--n-traj", "3", "--t-end", "60", "--dt", "0.5",
+                                "--burn-in", "20", "--seed", "7",
+                                "--dump-dir", "dump"],
+                 {**SYSTEM_CONFIG, "n-traj": 3, "t-end": 60.0, "dt": 0.5,
+                  "burn-in": 20.0, "seed": 7, "dump-dir": "dump"}),
+    "sweep": (SYSTEM_ARGV + ["--axis", "g1", "--from", "0.1", "--to", "0.4",
+                             "--count", "4", "--scale", "log",
+                             "--metric", "occupancy:2"],
+              {**SYSTEM_CONFIG, "axis": "g1", "from": 0.1, "to": 0.4, "count": 4,
+               "scale": "log", "metric": "occupancy:2"}),
+    "collective": (SYSTEM_ARGV, SYSTEM_CONFIG),
+    "three-wave": (["--kappa1", "0.3", "--gamma", "0.1", "--delta1", "0.01",
+                    "--delta2", "0.02", "--mismatch", "0.03",
+                    "--beta=0.01+0.02j", "--pump=0.5", "--a1=1.0", "--a2=0.5j",
+                    "--u=0.1", "--t-end", "2", "--dt", "0.01",
+                    "--kappa2-hz", "1e6"],
+                   {"kappa1": 0.3, "gamma": 0.1, "delta1": 0.01, "delta2": 0.02,
+                    "mismatch": 0.03, "beta": "(0.01+0.02j)", "pump": "(0.5+0j)",
+                    "a1": "(1+0j)", "a2": "0.5j", "u": "(0.1+0j)", "t-end": 2.0,
+                    "dt": 0.01, "kappa2-hz": 1000000.0, "output": "out"}),
+    "coupling": (["--phi1", "phi1.txt", "--phi2", "phi2.txt", "--psi", "psi.txt",
+                  "--gamma-e", "2.0", "--omega-c1", "3.0", "--omega-c2", "4.0",
+                  "--eps1", "1.5", "--eps2", "2.5", "--periodic-x",
+                  "--periodic-y", "--periodic-z", "--normalize", "--rho0", "2.0",
+                  "--omega-m", "3.0", "--hbar", "0.5", "--kappa2-hz", "1e6"],
+                 {"phi1": "phi1.txt", "phi2": "phi2.txt", "psi": "psi.txt",
+                  "gamma-e": 2.0, "omega-c1": 3.0, "omega-c2": 4.0, "eps1": 1.5,
+                  "eps2": 2.5, "periodic-x": True, "periodic-y": True,
+                  "periodic-z": True, "normalize": True, "rho0": 2.0,
+                  "omega-m": 3.0, "hbar": 0.5, "kappa2-hz": 1000000.0,
+                  "output": "out"}),
+}
+
+
+@pytest.mark.filterwarnings("ignore:burn_in:UserWarning")
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP))
+def test_every_command_round_trips_through_its_sidecar(command, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if command == "coupling":
+        ax = np.linspace(0.0, 1.0, 12)
+        k1 = np.array([0.7, 0.0, 0.0])
+        for name, k, pol in (("phi1", k1, [0, 1, 0]),
+                             ("phi2", k1 + [0.1, 0, 0], [0, 1, 0]),
+                             ("psi", [0.1, 0, 0], [1, 0, 0])):
+            save_mode_field(f"{name}.txt", plane_wave((ax, ax, ax), k, pol))
+    argv, config = ROUND_TRIP[command]
+    assert invoke([command] + argv + ["--output", "out"]) == 0
+    first = json.loads((tmp_path / "out.meta.json").read_text())
+    assert first["command"] == command
+    assert first["config"] == config
+    assert invoke([command, "--config", "out.meta.json", "--output", "again"]) == 0
+    assert (tmp_path / "out").read_bytes() == (tmp_path / "again").read_bytes()
+    second = json.loads((tmp_path / "again.meta.json").read_text())
+    assert second["config"].pop("output") == "again"
+    first["config"].pop("output")
+    assert second == first

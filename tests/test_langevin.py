@@ -13,6 +13,7 @@ from phonocool import (
     simulate_ensemble,
     step_covariance,
 )
+from phonocool import langevin
 from phonocool.langevin import _shaping_matrix
 
 OU = SystemParams(kappa2=1.0, omega=0.1, gamma1=0.05, gamma2=0.05,
@@ -111,6 +112,27 @@ def test_burn_in_guard_warns():
                           seed=0)
 
 
+@pytest.mark.parametrize("t_end, burn_in, name", [(1010.0, 999.0, "t_end"),
+                                                  (1011.0, 1000.0, "burn_in")])
+def test_simulate_rejects_partial_steps(t_end, burn_in, name):
+    with pytest.raises(ValueError, match=f"{name} = .* whole number of steps"):
+        simulate_ensemble(OU, n_traj=2, t_end=t_end, dt=3.0, burn_in=burn_in)
+
+
+def test_simulate_accepts_ulp_off_step_ratio():
+    # 0.7 / 0.1 = 6.999999999999999 and 0.3 / 0.1 = 2.9999999999999996
+    with pytest.warns(UserWarning, match="burn_in"):
+        stats = simulate_ensemble(OU, n_traj=2, t_end=0.7, dt=0.1, burn_in=0.3)
+    assert stats.t_end == 0.7 and stats.burn_in == 0.3
+
+
+def test_ensemble_independent_of_batch_size(monkeypatch):
+    kw = dict(n_traj=11, t_end=400.0, dt=0.5, burn_in=200.0, seed=5)
+    default = simulate_ensemble(OU, **kw)
+    monkeypatch.setattr(langevin, "_TRAJ_BATCH", 3)
+    assert simulate_ensemble(OU, **kw) == default
+
+
 def test_ensemble_stats_json_round_trip():
     stats = simulate_ensemble(OU, n_traj=8, t_end=400.0, dt=0.5,
                               burn_in=200.0, seed=2)
@@ -158,6 +180,29 @@ def test_periodogram_record_length_guard():
     with pytest.raises(ValueError, match="record too short"):
         periodogram(FIG2_SINGLE, n_traj=4, t_end=2000.0, dt=0.5,
                     burn_in=1000.0)
+
+
+@pytest.mark.parametrize("t_end, burn_in, name", [(1010.0, 999.0, "t_end"),
+                                                  (1011.0, 1000.0, "burn_in")])
+def test_periodogram_rejects_partial_steps(t_end, burn_in, name):
+    p = replace(OU, gamma1=10.0, gamma2=10.0)  # record guard: >= 5
+    with pytest.raises(ValueError, match=f"{name} = .* whole number of steps"):
+        periodogram(p, n_traj=2, t_end=t_end, dt=3.0, burn_in=burn_in)
+
+
+def test_periodogram_accepts_ulp_off_step_ratio():
+    # 50.3 / 0.1 = 502.99999999999994 and 0.3 / 0.1 = 2.9999999999999996
+    p = replace(OU, gamma1=2.0, gamma2=2.0)
+    with pytest.warns(UserWarning, match="burn_in"):
+        w = periodogram(p, n_traj=2, t_end=50.3, dt=0.1, burn_in=0.3)
+    assert w.omegas.size == 500
+
+
+def test_periodogram_occupancy_equals_ensemble_mean():
+    kw = dict(n_traj=11, t_end=1400.0, dt=0.5, burn_in=200.0, seed=5)
+    occ = periodogram(OU, **kw).occupancy_time_avg
+    mean = simulate_ensemble(OU, **kw).occupancy_mean
+    assert np.allclose(occ, mean, rtol=1e-12, atol=0)
 
 
 def test_periodogram_interpolates_requested_grid():
