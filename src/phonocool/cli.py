@@ -473,7 +473,7 @@ def _resolve(config: RunConfig) -> argparse.Namespace:
         if kwargs.get("required"):
             required.append(dest)
     for key, value in config.options.items():
-        if key not in values:
+        if key not in values or key == "config":  # only main expands --config
             raise CliError(f"unknown option {key!r} for {config.command}")
         values[key] = value
     missing = [k for k in required if values[k] is None]

@@ -145,6 +145,12 @@ def drift_matrix(params: SystemParams) -> DriftMatrix:
     return DriftMatrix(m=m)
 
 
+def _noise_densities(p: SystemParams) -> np.ndarray:
+    """Channel densities (0, 2 gamma1 nbar1, 2 gamma2 nbar2) of the noise
+    driving (a2, b1, b2), normally ordered: the cavity channel is empty."""
+    return np.array([0.0, 2 * p.gamma1 * p.nbar1, 2 * p.gamma2 * p.nbar2])
+
+
 # ---------------------------------------------------------------------------
 # adiabatic elimination of the cavity
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import SystemParams, validate
-from .dynamics import drift_matrix
+from .dynamics import _noise_densities, drift_matrix
 
 
 class CovarianceError(RuntimeError):
@@ -30,6 +30,8 @@ class CovarianceError(RuntimeError):
 
 
 _TRAJ_BATCH = 512  # trajectories propagated per vectorized block
+_WELCH_BATCH = 64  # smaller: the periodogram holds each whole record
+_CHUNK = 1024  # steps drawn and propagated per block
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,6 @@ class EnsembleStats:
         d["occupancy_mean"] = tuple(d["occupancy_mean"])
         d["occupancy_stderr"] = tuple(d["occupancy_stderr"])
         return cls(**d)
-
-
-def _noise_densities(p: SystemParams) -> np.ndarray:
-    return np.array([0.0, 2 * p.gamma1 * p.nbar1, 2 * p.gamma2 * p.nbar2])
 
 
 def step_covariance(params: SystemParams, dt: float) -> np.ndarray:
@@ -130,15 +128,49 @@ def _whole_steps(span: float, dt: float, name: str) -> int:
     return int(k)
 
 
-def _check_burn_in(params: SystemParams, burn_in: float) -> None:
-    m = drift_matrix(params).m
-    rates = -np.linalg.eigvals(m).real
+def _record(p: SystemParams, t_end: float, dt: float,
+            burn_in: float) -> tuple[int, int]:
+    """(burn-in steps, recorded steps) of a run, after checking the time
+    grid and warning when burn_in is short of 10 / slowest decay rate."""
+    if dt <= 0 or t_end <= burn_in or burn_in < 0:
+        raise ValueError("need dt > 0 and t_end > burn_in >= 0")
+    n_tot = _whole_steps(t_end, dt, "t_end")
+    n_burn = _whole_steps(burn_in, dt, "burn_in")
+    if n_tot <= n_burn:
+        raise ValueError("no recorded samples: increase t_end or reduce burn_in")
+    rates = -np.linalg.eigvals(drift_matrix(p).m).real
     pos = rates[rates > 0]
     if pos.size and burn_in < 10.0 / pos.min():
         warnings.warn(
             f"burn_in = {burn_in:g} is shorter than 10/min decay rate "
             f"= {10.0 / pos.min():g}; the slowest mode may not be thermalized",
             stacklevel=3)
+    return n_burn, n_tot - n_burn
+
+
+def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
+               n_burn: int, n_rec: int):
+    """Propagate trajectories lo..hi-1 from the vacuum with x -> e x + c w
+    and yield their recorded states in time order as (offset, block)
+    pairs: block[:, j] is the state at record index offset + j.  The block
+    is a view of a buffer that the next step of the generator overwrites."""
+    et, ct = e.T.copy(), c.T.copy()
+    gens = [_substream(seed, i) for i in range(lo, hi)]
+    draws = np.empty((hi - lo, _CHUNK, 3), dtype=complex)
+    buf = np.empty((_CHUNK, hi - lo, 3), dtype=complex)  # time-major
+    x = np.zeros((hi - lo, 3), dtype=complex)
+    for start in range(0, n_burn + n_rec, _CHUNK):
+        k = min(_CHUNK, n_burn + n_rec - start)
+        for j, g in enumerate(gens):
+            draws[j, :k] = _complex_normals(g, k)
+        w = np.matmul(draws[:, :k].transpose(1, 0, 2), ct, out=buf[:k])
+        for s in range(k):
+            w[s] += x @ et
+            x = w[s]
+        x = x.copy()  # buf is refilled with the next chunk's noise
+        first = max(n_burn - start, 0)  # buf[s] is step start + s + 1
+        if first < k:
+            yield start + first - n_burn, w[first:].transpose(1, 0, 2)
 
 
 def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
@@ -155,59 +187,35 @@ def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
     p = validate(params)
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    if dt <= 0 or t_end <= burn_in or burn_in < 0:
-        raise ValueError("need dt > 0 and t_end > burn_in >= 0")
-    n_tot = _whole_steps(t_end, dt, "t_end")
-    n_burn = _whole_steps(burn_in, dt, "burn_in")
-    _check_burn_in(p, burn_in)
-    n_rec = n_tot - n_burn
-    if n_rec < 1:
-        raise ValueError("no recorded samples: increase t_end or reduce burn_in")
-
+    n_burn, n_rec = _record(p, t_end, dt, burn_in)
     e, c = _propagator(p, dt)
-    et = e.T.copy()
-    ct = c.T.copy()
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
     t_rec = (n_burn + 1 + np.arange(n_rec)) * dt
 
-    traj_means = np.empty((n_traj, 3))
+    sums = np.zeros((n_traj, 2))
     for lo in range(0, n_traj, _TRAJ_BATCH):
         hi = min(lo + _TRAJ_BATCH, n_traj)
-        nb = hi - lo
-        x = np.zeros((nb, 3), dtype=complex)
-        sums = np.zeros((nb, 3))
-        rec = (np.empty((nb, n_rec, 3), dtype=complex)
+        rec = (np.empty((hi - lo, n_rec, 3), dtype=complex)
                if dump_dir is not None else None)
-        gens = [_substream(seed, i) for i in range(lo, hi)]
-        chunk = 1024
-        noise = np.empty((nb, chunk, 3), dtype=complex)
-        step = 0
-        while step < n_tot:
-            csize = min(chunk, n_tot - step)
-            for j, g in enumerate(gens):
-                noise[j, :csize] = _complex_normals(g, csize)
-            z = noise[:, :csize] @ ct
-            for s in range(csize):
-                x = x @ et + z[:, s]
-                step += 1
-                if step > n_burn:
-                    a = np.abs(x)
-                    sums += a * a
-                    if rec is not None:
-                        rec[:, step - n_burn - 1, :] = x
-        traj_means[lo:hi] = sums / n_rec
+        for off, block in _propagate(e, c, seed, lo, hi, n_burn, n_rec):
+            a = np.abs(block[..., 1:])
+            a *= a
+            sums[lo:hi] += a.sum(axis=1)
+            if rec is not None:
+                rec[:, off:off + block.shape[1]] = block
         if rec is not None:
-            for j in range(nb):
+            for j in range(hi - lo):
                 _dump_trajectory(dump_dir, lo + j, t_rec, rec[j])
 
+    traj_means = sums / n_rec
     mean = traj_means.mean(axis=0)
     stderr = traj_means.std(axis=0, ddof=1) / np.sqrt(n_traj)
     return EnsembleStats(
         n_traj=n_traj, t_end=float(t_end), dt=float(dt),
         burn_in=float(burn_in),
-        occupancy_mean=(float(mean[1]), float(mean[2])),
-        occupancy_stderr=(float(stderr[1]), float(stderr[2])),
+        occupancy_mean=(float(mean[0]), float(mean[1])),
+        occupancy_stderr=(float(stderr[0]), float(stderr[1])),
         seed=int(seed))
 
 
@@ -262,23 +270,22 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
     """Welch periodogram of the simulated phonon amplitudes b1(t), b2(t).
 
     segment_length is in samples (default: the whole post-burn-in record,
-    one segment per trajectory); segments overlap by the given fraction
-    and are Hann-windowed.  If an omegas grid is supplied, the native FFT
-    bins are linearly interpolated onto it.  t_end and burn_in must be
-    whole numbers of steps dt.
+    one segment per trajectory); segments overlap by the given fraction in
+    [0, 1) and are Hann-windowed.  If an omegas grid is supplied, the
+    native FFT bins are linearly interpolated onto it.  t_end and burn_in
+    must be whole numbers of steps dt; n_traj must be at least 1.
     """
     p = validate(params)
-    if dt <= 0 or t_end <= burn_in or burn_in < 0:
-        raise ValueError("need dt > 0 and t_end > burn_in >= 0")
+    if n_traj < 1:
+        raise ValueError("n_traj must be at least 1")
+    if not 0 <= overlap < 1:
+        raise ValueError(f"overlap must be in [0, 1), got {overlap!r}")
     gammas = [g for g in (p.gamma1, p.gamma2) if g > 0]
     if gammas and (t_end - burn_in) < 50.0 / min(gammas):
         raise ValueError(
             f"record too short: need t_end - burn_in >= {50.0 / min(gammas):g} "
             "(50 / smallest phonon half-width)")
-    n_tot = _whole_steps(t_end, dt, "t_end")
-    n_burn = _whole_steps(burn_in, dt, "burn_in")
-    _check_burn_in(p, burn_in)
-    n_rec = n_tot - n_burn
+    n_burn, n_rec = _record(p, t_end, dt, burn_in)
     n_seg = n_rec if segment_length is None else int(segment_length)
     if n_seg < 8 or n_seg > n_rec:
         raise ValueError("segment_length must be in [8, record length]")
@@ -288,33 +295,17 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
     win = np.hanning(n_seg)
     wnorm = float((win**2).sum())
     e, c = _propagator(p, dt)
-    et = e.T.copy()
-    ct = c.T.copy()
 
     s_sum = np.zeros((2, n_seg))
     s_sqsum = np.zeros((2, n_seg))
     occ_sum = np.zeros(2)
     count = 0
-
-    batch = 64
-    for lo in range(0, n_traj, batch):
-        hi = min(lo + batch, n_traj)
-        nb = hi - lo
-        x = np.zeros((nb, 3), dtype=complex)
-        rec = np.empty((nb, n_rec, 2), dtype=complex)
-        gens = [_substream(seed, i) for i in range(lo, hi)]
-        chunk = 2048
-        step = 0
-        while step < n_tot:
-            csize = min(chunk, n_tot - step)
-            z = np.stack([_complex_normals(g, csize) for g in gens])
-            z = z @ ct
-            for s in range(csize):
-                x = x @ et + z[:, s]
-                step += 1
-                if step > n_burn:
-                    rec[:, step - n_burn - 1, :] = x[:, 1:]
-        occ_sum += np.mean(np.abs(rec)**2, axis=(0, 1)) * nb
+    for lo in range(0, n_traj, _WELCH_BATCH):
+        hi = min(lo + _WELCH_BATCH, n_traj)
+        rec = np.empty((hi - lo, n_rec, 2), dtype=complex)
+        for off, block in _propagate(e, c, seed, lo, hi, n_burn, n_rec):
+            rec[:, off:off + block.shape[1]] = block[..., 1:]
+        occ_sum += np.mean(np.abs(rec)**2, axis=(0, 1)) * (hi - lo)
         for st in starts:
             seg = rec[:, st:st + n_seg, :] * win[None, :, None]
             # FFT with the e^{+i omega t} kernel: N * ifft
@@ -322,7 +313,7 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
             pxx = dt * np.abs(xf)**2 / wnorm
             s_sum += pxx.sum(axis=0).T
             s_sqsum += (pxx**2).sum(axis=0).T
-            count += nb
+            count += hi - lo
 
     s_mean = s_sum / count
     var = np.clip(s_sqsum / count - s_mean**2, 0.0, None)
@@ -330,22 +321,14 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
 
     om_native = 2 * np.pi * np.fft.fftfreq(n_seg, d=dt)
     order = np.argsort(om_native)
-    om_native = om_native[order]
-    s_mean = s_mean[:, order]
-    s_err = s_err[:, order]
-
-    occ = occ_sum / n_traj
-    if omegas is not None:
+    curves = [s_mean[0, order], s_mean[1, order],
+              s_err[0, order], s_err[1, order]]
+    if omegas is None:
+        omegas = om_native[order]
+    else:
         omegas = np.asarray(omegas, dtype=float)
-        s1 = np.interp(omegas, om_native, s_mean[0])
-        s2 = np.interp(omegas, om_native, s_mean[1])
-        e1 = np.interp(omegas, om_native, s_err[0])
-        e2 = np.interp(omegas, om_native, s_err[1])
-        return WelchSpectra(omegas=omegas, s1=s1, s2=s2,
-                            s1_stderr=e1, s2_stderr=e2,
-                            occupancy_time_avg=(float(occ[0]), float(occ[1])),
-                            n_segments=count)
-    return WelchSpectra(omegas=om_native, s1=s_mean[0], s2=s_mean[1],
-                        s1_stderr=s_err[0], s2_stderr=s_err[1],
+        curves = [np.interp(omegas, om_native[order], v) for v in curves]
+    occ = occ_sum / n_traj
+    return WelchSpectra(omegas, *curves,
                         occupancy_time_avg=(float(occ[0]), float(occ[1])),
                         n_segments=count)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
 from .core import SystemParams, validate
-from .dynamics import drift_matrix
+from .dynamics import _noise_densities, drift_matrix
 
 
 class SingularityError(RuntimeError):
@@ -188,8 +188,7 @@ def occupancy(params: SystemParams, mode: int) -> float:
         raise SingularityError(
             "drift matrix is not Hurwitz to working precision: marginal "
             f"eigenvalue {slowest:.6g}")
-    noise = np.array([0.0, 2 * p.gamma1 * p.nbar1, 2 * p.gamma2 * p.nbar2])
-    cov = solve_continuous_lyapunov(m, -np.diag(noise[keep]))
+    cov = solve_continuous_lyapunov(m, -np.diag(_noise_densities(p)[keep]))
     i = keep.index(mode)
     return float(cov[i, i].real)
 

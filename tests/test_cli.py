@@ -257,6 +257,18 @@ def test_run_config_rejects_unknown_option(capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
+def test_run_config_rejects_config_option(tmp_path, capsys):
+    # a config file is expanded only by main(); run() must not ignore it
+    out = tmp_path / "o.csv"
+    code = run(RunConfig("cooling-ratio",
+                         {"config": str(tmp_path / "missing.cfg"),
+                          "gamma1": 0.01, "gamma2": 0.01,
+                          "output": str(out)}))
+    assert code == 1
+    assert "unknown option 'config'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Every optional flag of each command, and the sidecar "config" block it
 # must produce (as recorded before the command table; three-wave and
 # coupling then dropped kappa2-hz).  Paths are relative to the test's cwd.

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,9 @@ from phonocool import (
     step_covariance,
 )
 from phonocool import langevin
-from phonocool.langevin import _shaping_matrix
+from phonocool.langevin import _propagator, _shaping_matrix
+
+from _reference_mc import reference_record
 
 OU = SystemParams(kappa2=1.0, omega=0.1, gamma1=0.05, gamma2=0.05,
                   nbar1=100.0)
@@ -133,6 +136,55 @@ def test_ensemble_independent_of_batch_size(monkeypatch):
     assert simulate_ensemble(OU, **kw) == default
 
 
+def _dumped_records(dump):
+    data = [np.loadtxt(f, delimiter=",", ndmin=2)
+            for f in sorted(dump.glob("traj_*.csv"))]
+    return [(d[:, 0], d[:, 1::2] + 1j * d[:, 2::2]) for d in data]
+
+
+@pytest.mark.filterwarnings("ignore:burn_in")
+@pytest.mark.parametrize("n_burn", [0, 3, 14, 31])  # chunks of 7 steps
+def test_dumped_records_match_step_by_step_reference(n_burn, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setattr(langevin, "_CHUNK", 7)
+    monkeypatch.setattr(langevin, "_TRAJ_BATCH", 3)
+    dt, n_rec, seed = 0.5, 20, 13
+    simulate_ensemble(FIG2_SINGLE, n_traj=5, t_end=(n_burn + n_rec) * dt,
+                      dt=dt, burn_in=n_burn * dt, seed=seed,
+                      dump_dir=str(tmp_path))
+    e, c = _propagator(FIG2_SINGLE, dt)
+    records = _dumped_records(tmp_path)
+    assert len(records) == 5
+    for i, (t, rec) in enumerate(records):
+        assert np.array_equal(t, (n_burn + 1 + np.arange(n_rec)) * dt)
+        ref = reference_record(e, c, seed, i, n_burn, n_rec)
+        np.testing.assert_allclose(rec, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
+def test_dump_files_independent_of_chunk_size(tmp_path, monkeypatch):
+    # 1100 steps cross the default chunk boundary too
+    kw = dict(n_traj=3, t_end=550.0, dt=0.5, burn_in=200.0, seed=17)
+    simulate_ensemble(OU, dump_dir=str(tmp_path / "default"), **kw)
+    monkeypatch.setattr(langevin, "_CHUNK", 7)
+    simulate_ensemble(OU, dump_dir=str(tmp_path / "seven"), **kw)
+    for f in sorted((tmp_path / "default").glob("traj_*.csv")):
+        assert f.read_bytes() == (tmp_path / "seven" / f.name).read_bytes()
+
+
+def test_periodogram_independent_of_batch_size(monkeypatch):
+    kw = dict(n_traj=7, t_end=1400.0, dt=0.5, burn_in=200.0, seed=5,
+              segment_length=512)
+    default = periodogram(OU, **kw)
+    monkeypatch.setattr(langevin, "_WELCH_BATCH", 3)
+    batched = periodogram(OU, **kw)
+    assert batched.n_segments == default.n_segments
+    for name in ("omegas", "s1", "s2", "s1_stderr", "s2_stderr",
+                 "occupancy_time_avg"):
+        np.testing.assert_allclose(getattr(batched, name),
+                                   getattr(default, name), rtol=1e-12, atol=0)
+
+
 def test_ensemble_stats_json_round_trip():
     stats = simulate_ensemble(OU, n_traj=8, t_end=400.0, dt=0.5,
                               burn_in=200.0, seed=2)
@@ -188,6 +240,30 @@ def test_periodogram_rejects_partial_steps(t_end, burn_in, name):
     p = replace(OU, gamma1=10.0, gamma2=10.0)  # record guard: >= 5
     with pytest.raises(ValueError, match=f"{name} = .* whole number of steps"):
         periodogram(p, n_traj=2, t_end=t_end, dt=3.0, burn_in=burn_in)
+
+
+def _no_propagation(*args):
+    raise AssertionError("propagated before rejecting the input")
+
+
+def test_periodogram_rejects_empty_ensemble(monkeypatch):
+    # burn_in = 10 would warn; the rejection must come first
+    monkeypatch.setattr(langevin, "_propagator", _no_propagation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="n_traj must be at least 1"):
+            periodogram(OU, n_traj=0, t_end=1100.0, dt=0.5, burn_in=10.0)
+
+
+@pytest.mark.parametrize("overlap", [1.0, 1.5, -1.0, float("nan")])
+def test_periodogram_rejects_overlap_outside_unit_interval(overlap,
+                                                           monkeypatch):
+    monkeypatch.setattr(langevin, "_propagator", _no_propagation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"overlap must be in \[0, 1\)"):
+            periodogram(OU, n_traj=2, t_end=1100.0, dt=0.5, burn_in=10.0,
+                        overlap=overlap)
 
 
 def test_periodogram_accepts_ulp_off_step_ratio():
