@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -463,20 +464,36 @@ class RunConfig:
                            f"choose from {', '.join(COMMANDS)}")
 
 
+def _parsable(kwargs: dict, value) -> bool:
+    """Whether the parser can produce `value` for a flag declared with
+    these add_argument keywords (an int stands for the equal float)."""
+    if value is None:
+        return kwargs.get("default") is None
+    if kwargs.get("action") == "store_true":
+        return isinstance(value, bool)
+    kind = {float: numbers.Real, int: numbers.Integral,
+            _complex: numbers.Complex}.get(kwargs.get("type"), str)
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and value in kwargs.get("choices", (value,)))
+
+
 def _resolve(config: RunConfig) -> argparse.Namespace:
     """The namespace the parser would produce for `config`."""
-    values, required = {}, []
-    for option, kwargs in COMMANDS[config.command][2]:
-        dest = _dest(option, kwargs)
-        values[dest] = kwargs.get(
-            "default", False if kwargs.get("action") == "store_true" else None)
-        if kwargs.get("required"):
-            required.append(dest)
+    flags = {_dest(option, kwargs): kwargs
+             for option, kwargs in COMMANDS[config.command][2]}
+    values = {}
+    for dest, kwargs in flags.items():
+        store_true = kwargs.get("action") == "store_true"
+        values[dest] = kwargs.get("default", False if store_true else None)
     for key, value in config.options.items():
-        if key not in values or key == "config":  # only main expands --config
+        if key not in flags or key == "config":  # only main expands --config
             raise CliError(f"unknown option {key!r} for {config.command}")
+        if not _parsable(flags[key], value):
+            raise CliError(f"invalid value {value!r} for option {key!r} "
+                           f"of {config.command}")
         values[key] = value
-    missing = [k for k in required if values[k] is None]
+    missing = [k for k, kwargs in flags.items()
+               if kwargs.get("required") and values[k] is None]
     if missing:
         raise CliError(f"{config.command} is missing required options: "
                        f"{', '.join(missing)}")

@@ -1,10 +1,10 @@
 """Three-wave coupling constants from spatial mode functions.
 
 Mode functions live on a rectilinear 3D grid; the overlap integrals use
-trapezoidal quadrature and the phonon divergence uses second-order
-centered finite differences (one-sided at non-periodic boundaries,
-wrap-around on periodic axes).  Periodic axes store one period without
-the duplicate endpoint, where the trapezoid rule reduces to the
+trapezoidal quadrature and the derivatives (divergence, curl) use
+second-order centered finite differences (one-sided at non-periodic
+boundaries, wrap-around on periodic axes).  Periodic axes store one period
+without the duplicate endpoint, where the trapezoid rule reduces to the
 rectangle sum.
 """
 from __future__ import annotations
@@ -71,55 +71,39 @@ class ModeField:
         return tuple(ax.size for ax in self.axes)
 
 
-def _partial(values: np.ndarray, axis: int, coords: np.ndarray,
-             periodic: bool) -> np.ndarray:
-    """Second-order partial derivative of a sampled scalar field along one axis."""
-    if periodic:
-        h = coords[1] - coords[0]
-        pad = [(0, 0)] * values.ndim
-        pad[axis] = (1, 1)
-        ext = np.pad(values, pad, mode="wrap")
-        d = np.gradient(ext, h, axis=axis, edge_order=2)
-        sl = [slice(None)] * values.ndim
-        sl[axis] = slice(1, -1)
-        return d[tuple(sl)]
-    return np.gradient(values, coords, axis=axis, edge_order=2)
+def _partial(field_: ModeField, i: int, j: int) -> np.ndarray:
+    """d v_i / d x_j, shape (nx, ny, nz)."""
+    v, x = field_.values[..., i], field_.axes[j]
+    if field_.periodic[j]:
+        pad = [(0, 0)] * 3
+        pad[j] = (1, 1)
+        d = np.gradient(np.pad(v, pad, mode="wrap"), x[1] - x[0], axis=j,
+                        edge_order=2)
+        return d[(slice(None),) * j + (slice(1, -1),)]
+    return np.gradient(v, x, axis=j, edge_order=2)
 
 
 def divergence(field_: ModeField) -> np.ndarray:
     """Discrete divergence of the vector field, shape (nx, ny, nz)."""
-    out = np.zeros(field_.shape, dtype=complex)
-    for ax in range(3):
-        out += _partial(field_.values[..., ax], ax, field_.axes[ax],
-                        field_.periodic[ax])
-    return out
+    return _partial(field_, 0, 0) + _partial(field_, 1, 1) + _partial(field_, 2, 2)
 
 
 def curl(field_: ModeField) -> np.ndarray:
     """Discrete curl of the vector field, shape (nx, ny, nz, 3)."""
-    d = np.empty(field_.shape + (3, 3), dtype=complex)  # d[..., i, j] = d v_i / d x_j
-    for i in range(3):
-        for j in range(3):
-            d[..., i, j] = _partial(field_.values[..., i], j, field_.axes[j],
-                                    field_.periodic[j])
     out = np.empty(field_.shape + (3,), dtype=complex)
-    out[..., 0] = d[..., 2, 1] - d[..., 1, 2]
-    out[..., 1] = d[..., 0, 2] - d[..., 2, 0]
-    out[..., 2] = d[..., 1, 0] - d[..., 0, 1]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(_partial(field_, k, j), _partial(field_, j, k),
+                    out=out[..., i])
     return out
 
 
 def _check_longitudinal(field_: ModeField) -> None:
     c = np.abs(curl(field_)).max()
-    # scale against the overall derivative magnitude so a transverse field
-    # (curl ~ derivative scale) is rejected while finite-difference noise
-    # on a genuinely curl-free field passes
-    scale = 0.0
-    for i in range(3):
-        for j in range(3):
-            scale = max(scale, np.abs(
-                _partial(field_.values[..., i], j, field_.axes[j],
-                         field_.periodic[j])).max())
+    # scale against the overall derivative magnitude, all nine partials, so
+    # a transverse field (curl ~ derivative scale) is rejected while
+    # finite-difference noise on a genuinely curl-free field passes
+    scale = max(np.abs(_partial(field_, i, j)).max()
+                for i in range(3) for j in range(3))
     if scale == 0.0:
         return
     if c > field_.curl_tol * scale:
@@ -298,11 +282,11 @@ def beta_raman(R: RamanTensor, phi2: ModeField, phi1: ModeField,
     2 pi sqrt(w_c2 w_c1/(eps2 eps1)) sum_ijk R_ijk int phi2_i* phi1_j psi_k."""
     _require_common_grid(phi2, phi1, psi)
     pref = 2 * np.pi * np.sqrt(omega_c2 * omega_c1 / (eps2 * eps1))
-    wx, wy, wz = (_quad_weights_1d(psi.axes[i], psi.periodic[i]) for i in range(3))
-    overlap = np.einsum("xyzi,xyzj,xyzk,x,y,z->ijk",
-                        np.conj(phi2.values), phi1.values, psi.values,
-                        wx, wy, wz)
-    return pref * complex(np.einsum("ijk,ijk->", R.components, overlap))
+    integrand = np.zeros(psi.shape, dtype=complex)
+    for i in range(3):  # phi2_i* sum_jk R_ijk phi1_j psi_k
+        integrand += np.conj(phi2.values[..., i]) * np.einsum(
+            "xyzj,jk,xyzk->xyz", phi1.values, R.components[i], psi.values)
+    return pref * integrate(psi, integrand)
 
 
 def bulk_raman_scalar(R: RamanTensor, e2, e1, eQ) -> complex:

@@ -128,16 +128,21 @@ def _whole_steps(span: float, dt: float, name: str) -> int:
     return int(k)
 
 
-def _record(p: SystemParams, t_end: float, dt: float,
-            burn_in: float) -> tuple[int, int]:
+def _record(t_end: float, dt: float, burn_in: float) -> tuple[int, int]:
     """(burn-in steps, recorded steps) of a run, after checking the time
-    grid and warning when burn_in is short of 10 / slowest decay rate."""
+    grid."""
     if dt <= 0 or t_end <= burn_in or burn_in < 0:
         raise ValueError("need dt > 0 and t_end > burn_in >= 0")
     n_tot = _whole_steps(t_end, dt, "t_end")
     n_burn = _whole_steps(burn_in, dt, "burn_in")
     if n_tot <= n_burn:
         raise ValueError("no recorded samples: increase t_end or reduce burn_in")
+    return n_burn, n_tot - n_burn
+
+
+def _warn_short_burn_in(p: SystemParams, burn_in: float) -> None:
+    """Warn when burn_in is short of 10 / slowest decay rate; called after
+    every input check, so a rejected run never warns."""
     rates = -np.linalg.eigvals(drift_matrix(p).m).real
     pos = rates[rates > 0]
     if pos.size and burn_in < 10.0 / pos.min():
@@ -145,7 +150,6 @@ def _record(p: SystemParams, t_end: float, dt: float,
             f"burn_in = {burn_in:g} is shorter than 10/min decay rate "
             f"= {10.0 / pos.min():g}; the slowest mode may not be thermalized",
             stacklevel=3)
-    return n_burn, n_tot - n_burn
 
 
 def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
@@ -187,7 +191,8 @@ def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
     p = validate(params)
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    n_burn, n_rec = _record(p, t_end, dt, burn_in)
+    n_burn, n_rec = _record(t_end, dt, burn_in)
+    _warn_short_burn_in(p, burn_in)
     e, c = _propagator(p, dt)
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
@@ -273,7 +278,8 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
     one segment per trajectory); segments overlap by the given fraction in
     [0, 1) and are Hann-windowed.  If an omegas grid is supplied, the
     native FFT bins are linearly interpolated onto it.  t_end and burn_in
-    must be whole numbers of steps dt; n_traj must be at least 1.
+    must be whole numbers of steps dt, segment_length a whole number;
+    n_traj must be at least 1.
     """
     p = validate(params)
     if n_traj < 1:
@@ -285,10 +291,14 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
         raise ValueError(
             f"record too short: need t_end - burn_in >= {50.0 / min(gammas):g} "
             "(50 / smallest phonon half-width)")
-    n_burn, n_rec = _record(p, t_end, dt, burn_in)
+    n_burn, n_rec = _record(t_end, dt, burn_in)
+    if segment_length is not None and not float(segment_length).is_integer():
+        raise ValueError("segment_length must be a whole number of samples, "
+                         f"got {segment_length!r}")
     n_seg = n_rec if segment_length is None else int(segment_length)
     if n_seg < 8 or n_seg > n_rec:
         raise ValueError("segment_length must be in [8, record length]")
+    _warn_short_burn_in(p, burn_in)
     hop = max(1, int(round(n_seg * (1.0 - overlap))))
     starts = list(range(0, n_rec - n_seg + 1, hop))
 

@@ -269,6 +269,28 @@ def test_run_config_rejects_config_option(tmp_path, capsys):
     assert not out.exists()
 
 
+SWEEP = {"axis": "g2", "start": 0.1, "stop": 1.0, "count": 3,
+         "gamma1": 0.01, "gamma2": 0.01}
+
+
+@pytest.mark.parametrize("command, options, key", [
+    ("sweep", {**SWEEP, "scale": "logarithmic"}, "scale"),
+    ("sweep", {**SWEEP, "count": "3"}, "count"),
+    ("simulate", {"gamma1": 0.05, "gamma2": 0.05, "n_traj": 2.5,
+                  "t_end": 400.0, "dt": 0.5, "burn_in": 200.0}, "n_traj"),
+    ("spectrum", {"gamma1": 0.01, "gamma2": 0.01, "count": 11,
+                  "normalized": "false"}, "normalized")],
+    ids=["scale", "count", "n_traj", "normalized"])
+def test_run_config_rejects_value_the_parser_cannot_produce(
+        command, options, key, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code = run(RunConfig(command, {**options, "output": str(out)}))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"option {key!r}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Every optional flag of each command, and the sidecar "config" block it
 # must produce (as recorded before the command table; three-wave and
 # coupling then dropped kappa2-hz).  Paths are relative to the test's cwd.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from phonocool import (
     box_sine_mode,
     brillouin_raman_tensor,
     bulk_raman_scalar,
+    curl,
     dispersion,
+    divergence,
     gaussian_transverse,
     load_mode_field,
     normalize_mode,
@@ -101,6 +105,94 @@ def test_coarse_grid_is_rejected():
     f = plane_wave(axes, [0.1, 0, 0], [1, 0, 0])
     with pytest.raises(GridError, match="coarse"):
         beta_acoustic(f, f, f, GAMMA_E, OMEGA_C1, OMEGA_C2, EPS1, EPS2)
+
+
+# ---------------------------------------------------------------------------
+# derivative stencils
+
+
+def test_stencils_match_centered_difference_symbol_on_periodic_plane_wave():
+    # on a periodic grid the centered difference maps exp(i k x) to
+    # i sin(k h)/h exp(i k x) exactly
+    lengths = np.array([1.0, 2.0, 0.5])
+    axes = tuple(np.linspace(0.0, L, n, endpoint=False)
+                 for L, n in zip(lengths, (16, 12, 10)))
+    k = 2 * np.pi * np.array([2, -3, 1]) / lengths
+    h = np.array([ax[1] - ax[0] for ax in axes])
+    sym = np.sin(k * h) / h
+    pol = np.array([0.3 + 0.2j, -1.1, 0.7j])
+    f = plane_wave(axes, k, pol, periodic=(True, True, True))
+    phase = f.values[..., 1] / pol[1]
+    tol = 1e-12 * np.linalg.norm(sym) * np.linalg.norm(pol)
+    assert np.allclose(divergence(f), 1j * (sym @ pol) * phase,
+                       rtol=0, atol=tol)
+    assert np.allclose(curl(f), 1j * np.cross(sym, pol) * phase[..., None],
+                       rtol=0, atol=tol)
+
+
+def _jacobian_reference(f):
+    """d[..., i, j] = d v_i / d x_j from np.gradient of all three
+    components at once; periodic axes are wrap-padded by one sample."""
+    d = np.empty(f.shape + (3, 3), dtype=complex)
+    for j, (x, per) in enumerate(zip(f.axes, f.periodic)):
+        if per:
+            pad = [(0, 0)] * 4
+            pad[j] = (1, 1)
+            g = np.gradient(np.pad(f.values, pad, mode="wrap"), x[1] - x[0],
+                            axis=j, edge_order=2)
+            d[..., j] = np.take(g, np.arange(1, x.size + 1), axis=j)
+        else:
+            d[..., j] = np.gradient(f.values, x, axis=j, edge_order=2)
+    return d
+
+
+@pytest.mark.parametrize("periodic", [(False, False, False),
+                                      (True, False, True),
+                                      (False, True, False),
+                                      (True, True, True)])
+def test_stencils_equal_full_jacobian_reference(periodic):
+    rng = np.random.default_rng(21)
+    axes = [np.linspace(0.0, 1.0, n, endpoint=False) if per
+            else np.cumsum(rng.uniform(0.05, 0.2, n))
+            for n, per in zip((7, 9, 6), periodic)]
+    f = ModeField(axes, rng.normal(size=(7, 9, 6, 3))
+                  + 1j * rng.normal(size=(7, 9, 6, 3)), periodic=periodic)
+    d = _jacobian_reference(f)
+    assert np.array_equal(divergence(f), d[..., 0, 0] + d[..., 1, 1]
+                          + d[..., 2, 2])
+    expect = np.stack([d[..., 2, 1] - d[..., 1, 2],
+                       d[..., 0, 2] - d[..., 2, 0],
+                       d[..., 1, 0] - d[..., 0, 1]], axis=-1)
+    assert np.array_equal(curl(f), expect)
+
+
+def test_longitudinal_scale_counts_all_nine_partials():
+    # each field carries the same small curl, curl_z = 1e-3; on its own
+    # that is rejected.  It passes (tol 1e-2) only against a scale that
+    # counts the large diagonal partial d v_x/d x = 10 x in the first
+    # field, and the large off-diagonal partials (~1) in the second, whose
+    # diagonal partials are at most 2e-3
+    ax = np.linspace(0.0, 1.0, 12)
+    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
+    small = np.stack([0 * x, 1e-3 * x, 0 * x], axis=-1)
+    with pytest.raises(GridError, match="longitudinal"):
+        ModeField((ax, ax, ax), small, longitudinal=True)
+    for big in (np.stack([5.0 * x**2, 0 * x, 0 * x], axis=-1),
+                np.stack([y, x, 1e-3 * z**2], axis=-1)):
+        ModeField((ax, ax, ax), big + small, longitudinal=True)
+
+
+def test_longitudinal_check_allocates_no_jacobian():
+    # a (n, n, n, 3, 3) Jacobian alone would be three times the field
+    f = plane_wave(periodic_box(32), [2 * np.pi, 0, 0], [1, 0, 0],
+                   periodic=(True, True, True))
+    tracemalloc.start()
+    try:
+        ModeField(f.axes, f.values, periodic=f.periodic, longitudinal=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * f.values.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +325,13 @@ def test_beta_raman_orthogonal_overlap_vanishes():
     assert beta_raman(R, phi2, phi1, psi, OMEGA_C1, OMEGA_C2, EPS1, EPS2) == 0
 
 
-def test_beta_raman_against_loop_oracle():
+def test_beta_raman_against_loop_oracle(periodic=False):
     rng = np.random.default_rng(11)
-    axes = open_box(10)
+    axes = periodic_box(10) if periodic else open_box(10)
     R = RamanTensor(rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
     fields = [plane_wave(axes, rng.uniform(-1, 1, 3),
-                         rng.normal(size=3) + 1j * rng.normal(size=3))
+                         rng.normal(size=3) + 1j * rng.normal(size=3),
+                         periodic=(periodic,) * 3)
               for _ in range(3)]
     phi2, phi1, psi = fields
     got = beta_raman(R, phi2, phi1, psi, OMEGA_C1, OMEGA_C2, EPS1, EPS2)
@@ -254,6 +347,10 @@ def test_beta_raman_against_loop_oracle():
                 total += R.components[i, j, k] * ov
     expect = 2 * np.pi * np.sqrt(OMEGA_C2 * OMEGA_C1 / (EPS2 * EPS1)) * total
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_beta_raman_against_loop_oracle_periodic_grid():
+    test_beta_raman_against_loop_oracle(periodic=True)
 
 
 def test_raman_tensor_validation():

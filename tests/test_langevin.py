@@ -266,6 +266,32 @@ def test_periodogram_rejects_overlap_outside_unit_interval(overlap,
                         overlap=overlap)
 
 
+@pytest.mark.parametrize("segment_length, match", [
+    (4, r"segment_length must be in \[8, record length\]"),
+    (2181, r"segment_length must be in \[8, record length\]"),
+    (100.7, "segment_length must be a whole number"),
+    (float("nan"), "segment_length must be a whole number")],
+    ids=["short", "long", "fractional", "nan"])
+def test_periodogram_rejects_bad_segment_length(segment_length, match,
+                                                monkeypatch):
+    # record length 2180 samples; burn_in = 10 would warn, the rejection
+    # must come first
+    monkeypatch.setattr(langevin, "_propagator", _no_propagation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            periodogram(OU, n_traj=2, t_end=1100.0, dt=0.5, burn_in=10.0,
+                        segment_length=segment_length)
+
+
+def test_periodogram_accepts_whole_float_segment_length():
+    kw = dict(n_traj=2, t_end=1200.0, dt=0.5, burn_in=200.0, seed=4)
+    a = periodogram(OU, segment_length=100.0, **kw)
+    b = periodogram(OU, segment_length=100, **kw)
+    assert a.omegas.size == 100
+    assert np.array_equal(a.s1, b.s1) and a.n_segments == b.n_segments
+
+
 def test_periodogram_accepts_ulp_off_step_ratio():
     # 50.3 / 0.1 = 502.99999999999994 and 0.3 / 0.1 = 2.9999999999999996
     p = replace(OU, gamma1=2.0, gamma2=2.0)
