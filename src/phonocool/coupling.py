@@ -63,6 +63,9 @@ class ModeField:
             raise GridError(f"values shape {values.shape} does not match grid {shape}")
         if not np.all(np.isfinite(values)):
             raise GridError("field values must be finite")
+        if not 0.0 <= self.curl_tol < np.inf:  # NaN would accept any curl
+            raise GridError("curl_tol must be finite and >= 0, "
+                            f"got {self.curl_tol!r}")
         if self.longitudinal:
             _check_longitudinal(self)
 

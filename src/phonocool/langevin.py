@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -112,11 +113,6 @@ def _substream(seed: int, traj: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_normals(gen: np.random.Generator, n_steps: int) -> np.ndarray:
-    w = gen.standard_normal((n_steps, 3, 2))
-    return (w[..., 0] + 1j * w[..., 1]) / np.sqrt(2.0)
-
-
 def _whole_steps(span: float, dt: float, name: str) -> int:
     """span / dt, which must be a whole number to 1e-9 relative: a span
     that is not is rejected rather than rounded to a different one."""
@@ -163,18 +159,28 @@ def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
     draws = np.empty((hi - lo, _CHUNK, 3), dtype=complex)
     buf = np.empty((_CHUNK, hi - lo, 3), dtype=complex)  # time-major
     x = np.zeros((hi - lo, 3), dtype=complex)
-    for start in range(0, n_burn + n_rec, _CHUNK):
-        k = min(_CHUNK, n_burn + n_rec - start)
-        for j, g in enumerate(gens):
-            draws[j, :k] = _complex_normals(g, k)
-        w = np.matmul(draws[:, :k].transpose(1, 0, 2), ct, out=buf[:k])
-        for s in range(k):
-            w[s] += x @ et
-            x = w[s]
-        x = x.copy()  # buf is refilled with the next chunk's noise
-        first = max(n_burn - start, 0)  # buf[s] is step start + s + 1
-        if first < k:
-            yield start + first - n_burn, w[first:].transpose(1, 0, 2)
+
+    def fill(half: int, k: int) -> None:  # each row from its own stream
+        for j in range(half * (hi - lo) // 2, (half + 1) * (hi - lo) // 2):
+            v = draws[j, :k].view(float)  # (re + i im) / sqrt(2), in place
+            gens[j].standard_normal(out=v)
+            v *= 1.0 / np.sqrt(2.0)
+
+    def shape(steps: slice) -> None:  # split by step: each gemm has all rows
+        np.matmul(draws[:, steps].transpose(1, 0, 2), ct, out=buf[steps])
+
+    with ThreadPoolExecutor(2) as pool:  # per call: no thread outlives it
+        for start in range(0, n_burn + n_rec, _CHUNK):
+            k = min(_CHUNK, n_burn + n_rec - start)
+            list(pool.map(fill, (0, 1), (k, k)))
+            list(pool.map(shape, (slice(0, k // 2), slice(k // 2, k))))
+            for s in range(k):
+                buf[s] += x @ et
+                x = buf[s]
+            x = x.copy()  # buf is refilled with the next chunk's noise
+            first = max(n_burn - start, 0)  # buf[s] is step start + s + 1
+            if first < k:
+                yield start + first - n_burn, buf[first:k].transpose(1, 0, 2)
 
 
 def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,

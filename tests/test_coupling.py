@@ -91,6 +91,17 @@ def test_longitudinal_flag_rejects_transverse_wave():
         plane_wave(axes, q, [0, 1, 0], longitudinal=True)
 
 
+@pytest.mark.parametrize("curl_tol", [float("nan"), float("inf"), -1.0])
+def test_curl_tol_must_be_finite_and_nonnegative(curl_tol):
+    # a NaN tolerance made `curl > tol * scale` false, so this transverse
+    # wave passed as longitudinal
+    f = plane_wave(open_box(24), [0.4, 0.0, 0.0], [0, 1, 0])
+    with pytest.raises(GridError, match="curl_tol"):
+        ModeField(f.axes, f.values, longitudinal=True, curl_tol=curl_tol)
+    with pytest.raises(GridError, match="longitudinal"):
+        ModeField(f.axes, f.values, longitudinal=True)
+
+
 def test_grid_mismatch_is_rejected():
     phi1, phi2, _ = brillouin_triplet(open_box(16), [0.3, 0, 0])
     psi_other = plane_wave(open_box(17), [0.3, 0, 0], [1, 0, 0])

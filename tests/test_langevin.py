@@ -1,4 +1,10 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,12 +23,16 @@ from phonocool import (
 from phonocool import langevin
 from phonocool.langevin import _propagator, _shaping_matrix
 
-from _reference_mc import reference_record
+from _reference_mc import reference_batch, reference_draws, reference_record
 
 OU = SystemParams(kappa2=1.0, omega=0.1, gamma1=0.05, gamma2=0.05,
                   nbar1=100.0)
 FIG2_SINGLE = SystemParams(kappa2=1.0, delta=0.0, omega=0.1, gamma1=0.01,
                            gamma2=0.01, g1=0.3, g2=0.0, nbar1=100.0)
+# both phonons coupled to the cavity: the noise shaping mixes all three
+# channels, so a change in its rounding shows in the output
+COUPLED = SystemParams(kappa2=1.0, omega=0.1, gamma1=0.05, gamma2=0.04,
+                       g1=0.3, g2=0.2, nbar1=100.0, nbar2=50.0)
 
 
 def test_step_covariance_single_mode_closed_form():
@@ -183,6 +193,112 @@ def test_periodogram_independent_of_batch_size(monkeypatch):
                  "occupancy_time_avg"):
         np.testing.assert_allclose(getattr(batched, name),
                                    getattr(default, name), rtol=1e-12, atol=0)
+
+
+def _propagated(e, c, seed, lo, hi, n_burn, n_rec):
+    states = np.empty((hi - lo, n_rec, 3), dtype=complex)
+    for off, block in langevin._propagate(e, c, seed, lo, hi, n_burn, n_rec):
+        states[:, off:off + block.shape[1]] = block
+    return states
+
+
+# chunks of 7 steps put seams inside every record below
+@pytest.mark.parametrize("lo, hi, n_burn, n_rec", [(0, 3, 0, 20),
+                                                  (2, 7, 5, 16)])
+def test_propagated_noise_is_the_reference_draws(lo, hi, n_burn, n_rec,
+                                                 monkeypatch):
+    # with e = 0 and c = 1 each recorded state is that step's draw, bit for
+    # bit, with no matrix product rounding in the comparison
+    monkeypatch.setattr(langevin, "_CHUNK", 7)
+    states = _propagated(np.zeros((3, 3)), np.eye(3), 29, lo, hi, n_burn,
+                         n_rec)
+    for j in range(hi - lo):
+        ref = reference_draws(29, lo + j, n_burn + n_rec)[n_burn:]
+        assert np.array_equal(states[j].view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("lo, hi, n_burn, n_rec", [(0, 3, 0, 20),
+                                                  (2, 7, 5, 16),
+                                                  (4, 5, 3, 12)])
+def test_propagated_states_are_the_one_batch_reference(lo, hi, n_burn, n_rec,
+                                                       monkeypatch):
+    # 3 rows split 1 + 2 would shape the single row with another BLAS
+    # routine (gemv), whose rounding differs from the batch product's
+    monkeypatch.setattr(langevin, "_CHUNK", 7)
+    e, c = _propagator(COUPLED, 0.5)
+    states = _propagated(e, c, 31, lo, hi, n_burn, n_rec)
+    ref = reference_batch(e, c, 31, lo, hi, n_burn, n_rec)
+    assert np.array_equal(states.view(np.uint64), ref.view(np.uint64))
+
+
+class _ReversedInlineExecutor:
+    """Runs the tasks in the calling thread, last submitted first."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return [fn(*a) for a in reversed(list(zip(*iterables)))][::-1]
+
+
+@pytest.mark.parametrize("executor", [lambda n: ThreadPoolExecutor(1),
+                                      _ReversedInlineExecutor],
+                         ids=["one-worker", "inline-reversed"])
+def test_output_independent_of_worker_count(executor, monkeypatch):
+    # batches of 3, 3 and 1 trajectories: the last has an empty half
+    monkeypatch.setattr(langevin, "_TRAJ_BATCH", 3)
+    sim = dict(n_traj=7, t_end=1600.0, dt=0.5, burn_in=200.0, seed=8)
+    welch = [dict(sim, n_traj=n, segment_length=512) for n in (1, 5)]
+    default = ([simulate_ensemble(COUPLED, **sim)]
+               + [periodogram(COUPLED, **kw) for kw in welch])
+    monkeypatch.setattr(langevin, "ThreadPoolExecutor", executor)
+    assert simulate_ensemble(COUPLED, **sim) == default[0]
+    for kw, ref in zip(welch, default[1:]):
+        w = periodogram(COUPLED, **kw)
+        assert w.n_segments == ref.n_segments
+        for name in ("omegas", "s1", "s2", "s1_stderr", "s2_stderr",
+                     "occupancy_time_avg"):
+            assert np.array_equal(getattr(w, name), getattr(ref, name))
+
+
+def test_import_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(langevin.__file__))
+    code = ("import threading; n = threading.active_count(); "
+            "import phonocool; print(threading.active_count() - n)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
+
+
+_FORK_RUN = dict(n_traj=4, t_end=400.0, dt=0.5, burn_in=200.0, seed=3)
+
+
+def _simulate_in_child(expected):
+    assert simulate_ensemble(OU, **_FORK_RUN) == expected
+
+
+def test_simulate_completes_in_forked_child():
+    # a pool whose threads outlived the parent's run would leave the
+    # child's tasks queued forever
+    n_threads = threading.active_count()
+    expected = simulate_ensemble(OU, **_FORK_RUN)
+    assert threading.active_count() == n_threads
+    child = multiprocessing.get_context("fork").Process(
+        target=_simulate_in_child, args=(expected,))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("simulate_ensemble hung in a forked child")
+    assert child.exitcode == 0
 
 
 def test_ensemble_stats_json_round_trip():
