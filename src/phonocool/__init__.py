@@ -57,7 +57,6 @@ from .spectra import (
     occupancy,
     phonon_spectrum,
     save_curve,
-    spectrum_oracle,
 )
 from .langevin import (
     CovarianceError,

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .core import SystemParams, ThreeWaveParams, ThreeWaveState, validate
+from .core import (SystemParams, ThreeWaveParams, ThreeWaveState, _write_columns,
+                   validate)
 from .coupling import beta_acoustic, load_mode_field, normalize_mode
 from .dynamics import IntegrationError, collective_rates, evolve_three_wave
 from .langevin import CovarianceError, simulate_ensemble
@@ -160,12 +161,6 @@ def _write_sidecar(args, **extra) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header_lines: list[str], columns: list[np.ndarray]) -> None:
-    data = np.column_stack(columns)
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header="\n".join(header_lines), comments="# ")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -196,9 +191,9 @@ def cmd_cooling_ratio(args) -> None:
     ratio = spectra.cooling_ratio(params, args.mode)
     print(f"R={ratio:.3f}")
     if args.output:
-        _write_csv(args.output,
-                   ["columns: mode, cooling_ratio (dimensionless)"],
-                   [np.array([float(args.mode)]), np.array([ratio])])
+        _write_columns(args.output,
+                       "columns: mode, cooling_ratio (dimensionless)",
+                       [np.array([float(args.mode)]), np.array([ratio])])
         _write_sidecar(args, cooling_ratio=ratio)
 
 
@@ -259,9 +254,9 @@ def cmd_sweep(args) -> None:
         return fn(validate(p))
 
     results = np.array([point(v) for v in values])
-    _write_csv(args.output,
-               [f"columns: {args.axis} [kappa2 units], {metric_label}"],
-               [values, results])
+    _write_columns(args.output,
+                   f"columns: {args.axis} [kappa2 units], {metric_label}",
+                   [values, results])
     _write_sidecar(args)
     print(f"wrote {args.output}")
 
@@ -313,9 +308,10 @@ def cmd_coupling(args) -> None:
     print(f"beta={beta:.12g}")
     print(f"abs={abs(beta):.12g} phase={np.angle(beta):.12g}")
     if args.output:
-        _write_csv(args.output,
-                   ["columns: Re(beta), Im(beta) [rad/s for unit-amplitude modes]"],
-                   [np.array([beta.real]), np.array([beta.imag])])
+        _write_columns(
+            args.output,
+            "columns: Re(beta), Im(beta) [rad/s for unit-amplitude modes]",
+            [np.array([beta])])
         _write_sidecar(args)
         print(f"wrote {args.output}")
 

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import ParameterError
+from .core import ParameterError, _open_text, _write_columns
 
 
 class GridError(ValueError):
@@ -77,13 +77,17 @@ class ModeField:
 def _partial(field_: ModeField, i: int, j: int) -> np.ndarray:
     """d v_i / d x_j, shape (nx, ny, nz)."""
     v, x = field_.values[..., i], field_.axes[j]
-    if field_.periodic[j]:
-        pad = [(0, 0)] * 3
-        pad[j] = (1, 1)
-        d = np.gradient(np.pad(v, pad, mode="wrap"), x[1] - x[0], axis=j,
-                        edge_order=2)
-        return d[(slice(None),) * j + (slice(1, -1),)]
-    return np.gradient(v, x, axis=j, edge_order=2)
+    if not field_.periodic[j]:
+        return np.gradient(v, x, axis=j, edge_order=2)
+    # centred difference with wrap-around, bitwise np.gradient on the
+    # wrap-padded axis: same subtractions, then the same division by 2h
+    d = np.empty(v.shape, dtype=complex)
+    dj, vj = np.moveaxis(d, j, 0), np.moveaxis(v, j, 0)
+    np.subtract(vj[2:], vj[:-2], out=dj[1:-1])
+    np.subtract(vj[1], vj[-1], out=dj[0])
+    np.subtract(vj[0], vj[-2], out=dj[-1])
+    d /= 2.0 * (x[1] - x[0])
+    return d
 
 
 def divergence(field_: ModeField) -> np.ndarray:
@@ -189,31 +193,27 @@ def gaussian_transverse(axes, k: float, waist: float, polarization,
 # ---------------------------------------------------------------------------
 # columnar text import/export
 
-_MODEFIELD_FMT = "%.17g"
-
-
 def save_mode_field(path, field_: ModeField) -> None:
     """Write a mode field in the columnar text format.
 
     First line holds the grid dimensions `nx ny nz`; each following row is
     `x y z Re(vx) Im(vx) Re(vy) Im(vy) Re(vz) Im(vz)` in C order (z fastest).
+    A path ending in .gz, .bz2, .xz or .lzma is written compressed.
     """
     nx, ny, nz = field_.shape
-    x, y, z = np.meshgrid(*field_.axes, indexing="ij")
-    cols = [x.ravel(), y.ravel(), z.ravel()]
-    for c in range(3):
-        v = field_.values[..., c].ravel()
-        cols.append(v.real)
-        cols.append(v.imag)
-    data = np.column_stack(cols)
-    np.savetxt(path, data, fmt=_MODEFIELD_FMT, comments="",
-               header=f"{nx} {ny} {nz}")
+    # each coordinate is formatted once, then repeated by the grid
+    labels = [np.array(["%.17g" % c for c in ax.tolist()], dtype=object)
+              for ax in field_.axes]
+    coords = [g.ravel() for g in np.meshgrid(*labels, indexing="ij")]
+    _write_columns(path, f"{nx} {ny} {nz}",
+                   coords + list(field_.values.reshape(-1, 3).T),
+                   delimiter=" ", comments="")
 
 
 def load_mode_field(path, periodic=(False, False, False),
                     longitudinal: bool = False) -> ModeField:
-    """Read a mode field written by save_mode_field."""
-    with open(path) as fh:
+    """Read a mode field written by save_mode_field, compressed or not."""
+    with _open_text(path, "rt") as fh:
         first = fh.readline().split()
         if len(first) != 3:
             raise GridError(f"{path}: header must hold three grid dimensions")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SystemParams, ThreeWaveParams, ThreeWaveState,
-                   validate, validate_three_wave)
+                   _write_columns, validate, validate_three_wave)
 
 
 class IntegrationError(RuntimeError):
@@ -40,16 +40,9 @@ class Trajectory:
                               t=float(self.t[i]))
 
     def save_csv(self, path, time_unit: str = "s") -> None:
-        data = np.column_stack([
-            self.t,
-            self.a1.real, self.a1.imag,
-            self.a2.real, self.a2.imag,
-            self.u.real, self.u.imag,
-        ])
         header = (f"time unit: {time_unit}; amplitudes dimensionless\n"
                   "t, Re(a1), Im(a1), Re(a2), Im(a2), Re(u), Im(u)")
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header=header, comments="# ")
+        _write_columns(path, header, [self.t, self.a1, self.a2, self.u])
 
 
 def evolve_three_wave(params: ThreeWaveParams, init: ThreeWaveState,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.linalg import expm
 
-from .core import SystemParams, validate
+from .core import SystemParams, _write_columns, validate
 from .dynamics import _noise_densities, drift_matrix
 
 
@@ -156,9 +156,12 @@ def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
     is a view of a buffer that the next step of the generator overwrites."""
     et, ct = e.T.copy(), c.T.copy()
     gens = [_substream(seed, i) for i in range(lo, hi)]
-    draws = np.empty((hi - lo, _CHUNK, 3), dtype=complex)
-    buf = np.empty((_CHUNK, hi - lo, 3), dtype=complex)  # time-major
-    x = np.zeros((hi - lo, 3), dtype=complex)
+    # a lone row would go through BLAS gemv, which rounds differently from
+    # the gemm of larger batches: pad it with a row of zeros that stays zero
+    rows = max(hi - lo, 2)
+    draws = np.zeros((rows, _CHUNK, 3), dtype=complex)
+    buf = np.empty((_CHUNK, rows, 3), dtype=complex)  # time-major
+    x = np.zeros((rows, 3), dtype=complex)
 
     def fill(half: int, k: int) -> None:  # each row from its own stream
         for j in range(half * (hi - lo) // 2, (half + 1) * (hi - lo) // 2):
@@ -180,7 +183,8 @@ def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
             x = x.copy()  # buf is refilled with the next chunk's noise
             first = max(n_burn - start, 0)  # buf[s] is step start + s + 1
             if first < k:
-                yield start + first - n_burn, buf[first:k].transpose(1, 0, 2)
+                yield (start + first - n_burn,
+                       buf[first:k, :hi - lo].transpose(1, 0, 2))
 
 
 def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
@@ -233,15 +237,8 @@ def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
 def _dump_trajectory(dump_dir: str, index: int, t: np.ndarray,
                      rec: np.ndarray) -> None:
     path = os.path.join(dump_dir, f"traj_{index:05d}.csv")
-    data = np.column_stack([
-        t,
-        rec[:, 0].real, rec[:, 0].imag,
-        rec[:, 1].real, rec[:, 1].imag,
-        rec[:, 2].real, rec[:, 2].imag,
-    ])
-    header = "t, Re(a2), Im(a2), Re(b1), Im(b1), Re(b2), Im(b2)"
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header=header, comments="# ")
+    _write_columns(path, "t, Re(a2), Im(a2), Re(b1), Im(b1), Re(b2), Im(b2)",
+                   [t, *rec.T])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,6 @@
 """Frequency-domain spectra of the two phonon modes and the generated
 anti-Stokes field, steady-state occupancies, and cooling ratios.
 
-The closed forms are cross-checked by spectrum_oracle, which solves the
-3x3 frequency-domain linear system per frequency and assembles the same
-spectra from the noise channel densities (phonon channel i carries
-2 gamma_i nbar_i; the cavity channel carries zero weight for normally
-ordered moments).
-
 Steady-state occupancies come from the stationary normally ordered
 covariance P of the linear Langevin system, which solves the Lyapunov
 equation M P + P M^dag + N = 0 with M the drift matrix and
@@ -24,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .core import SystemParams, validate
+from .core import SystemParams, _write_columns, validate
 from .dynamics import _noise_densities, drift_matrix
 
 
@@ -221,37 +215,6 @@ def cooling_ratio_adiabatic(params: SystemParams, mode: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# independent linear-system oracle
-
-
-def spectrum_oracle(params: SystemParams, omegas
-                    ) -> tuple[SpectrumCurve, SpectrumCurve, SpectrumCurve]:
-    """Brute-force spectra from the per-frequency linear solve.
-
-    For each omega solves (-i omega I - M) x = e_j for every noise channel
-    j and weights |x|^2 by the channel densities (0, 2 gamma1 nbar1,
-    2 gamma2 nbar2).  Returns (phonon1, phonon2, antistokes) curves that
-    the closed forms must reproduce.
-    """
-    p = validate(params)
-    omegas = np.asarray(omegas, dtype=float)
-    m = drift_matrix(p).m
-    a = -1j * omegas[:, None, None] * np.eye(3) - m[None, :, :]
-    try:
-        resp = np.linalg.solve(a, np.broadcast_to(np.eye(3), a.shape))
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(
-            f"singular frequency-domain system: {exc}") from exc
-    dens = np.array([0.0, 2 * p.gamma1 * p.nbar1, 2 * p.gamma2 * p.nbar2])
-    s = np.einsum("wij,j->wi", np.abs(resp)**2, dens)
-    return (
-        SpectrumCurve(omegas=omegas, values=s[:, 1], kind="phonon1"),
-        SpectrumCurve(omegas=omegas, values=s[:, 2], kind="phonon2"),
-        SpectrumCurve(omegas=omegas, values=s[:, 0], kind="antistokes"),
-    )
-
-
-# ---------------------------------------------------------------------------
 # export
 
 
@@ -276,9 +239,7 @@ def save_curve(path, curve: SpectrumCurve, params: SystemParams,
     header = (f"kind: {curve.kind}\n"
               f"normalized: {curve.normalized}\n"
               f"columns: omega_over_kappa2, S [{unit}]")
-    data = np.column_stack([curve.omegas / p.kappa2, curve.values])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header=header, comments="# ")
+    _write_columns(path, header, [curve.omegas / p.kappa2, curve.values])
     meta = {
         "params": params_dict(p),
         "kind": curve.kind,

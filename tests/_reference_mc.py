@@ -46,13 +46,17 @@ def reference_batch(e: np.ndarray, c: np.ndarray, seed: int, lo: int,
                     hi: int, n_burn: int, n_rec: int) -> np.ndarray:
     """(hi - lo, n_rec, 3) records of trajectories lo..hi-1 as one batch:
     every step's draws of the whole batch shaped by one matrix product, so
-    a kernel that splits the batch must reproduce it bit for bit."""
+    a kernel that splits the batch must reproduce it bit for bit.  A lone
+    trajectory is computed in a batch with its successor: a one-row product
+    takes BLAS's vector-matrix path, which rounds differently, and a
+    trajectory's record must not depend on the batch it ran in."""
     n_tot = n_burn + n_rec
-    draws = np.stack([reference_draws(seed, i, n_tot) for i in range(lo, hi)])
+    draws = np.stack([reference_draws(seed, i, n_tot)
+                      for i in range(lo, max(hi, lo + 2))])
     shaped = np.matmul(draws.transpose(1, 0, 2), c.T.copy())
     et = e.T.copy()
-    x = np.zeros((hi - lo, 3), dtype=complex)
+    x = np.zeros((len(draws), 3), dtype=complex)
     for s in range(n_tot):
         x = shaped[s] + x @ et
         shaped[s] = x
-    return shaped[n_burn:].transpose(1, 0, 2)
+    return shaped[n_burn:, :hi - lo].transpose(1, 0, 2)

@@ -24,8 +24,9 @@ from phonocool import (
     phonon_spectrum,
     plane_wave,
     simulate_ensemble,
-    spectrum_oracle,
 )
+
+from _spectrum_oracle import spectrum_oracle
 
 FIG2_SINGLE = SystemParams(kappa2=1.0, delta=0.0, omega=0.1, gamma1=0.01,
                            gamma2=0.01, g1=0.3, g2=0.0, nbar1=100.0)

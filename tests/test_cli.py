@@ -224,6 +224,27 @@ def test_coupling_command_from_mode_files(tmp_path, capsys):
     assert got == pytest.approx(pref * q, rel=1e-4)
 
 
+def test_coupling_command_reads_gzip_mode_files(tmp_path):
+    # the same fields as plain and as gzip text give the same coupling
+    ax = np.arange(8) / 8
+    fields = {"phi1": plane_wave((ax, ax, ax), [2 * np.pi, 0, 0], [0, 1, 0]),
+              "phi2": plane_wave((ax, ax, ax), [4 * np.pi, 0, 0], [0, 1, 0]),
+              "psi": plane_wave((ax, ax, ax), [2 * np.pi, 0, 0], [1, 0, 0])}
+    for suffix in ("", ".gz"):
+        argv = ["coupling", "--gamma-e", "2.0", "--omega-c1", "3.0",
+                "--omega-c2", "4.0", "--periodic-x", "--periodic-y",
+                "--periodic-z", "--output", str(tmp_path / f"beta{suffix}.csv")]
+        for name, f in fields.items():
+            path = tmp_path / f"{name}.txt{suffix}"
+            save_mode_field(path, f)
+            argv += [f"--{name}", str(path)]
+        assert invoke(argv) == 0
+    assert (tmp_path / "phi1.txt.gz").read_bytes()[:2] == b"\x1f\x8b"
+    plain = (tmp_path / "beta.csv").read_bytes()
+    assert plain == (tmp_path / "beta.gz.csv").read_bytes()
+    assert np.loadtxt(tmp_path / "beta.csv", delimiter=",")[0] != 0.0
+
+
 def test_input_files_are_not_mutated(tmp_path):
     cfg = tmp_path / "run.cfg"
     text = "g1 = 0.1\nnbar1 = 3\n"

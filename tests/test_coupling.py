@@ -26,6 +26,7 @@ from phonocool import (
     plane_wave,
     save_mode_field,
 )
+from phonocool import coupling
 
 GAMMA_E = 2.0
 OMEGA_C1, OMEGA_C2 = 3.0, 4.0
@@ -175,6 +176,29 @@ def test_stencils_equal_full_jacobian_reference(periodic):
                        d[..., 0, 2] - d[..., 2, 0],
                        d[..., 1, 0] - d[..., 0, 1]], axis=-1)
     assert np.array_equal(curl(f), expect)
+
+
+@pytest.mark.parametrize("j", range(3))
+@pytest.mark.parametrize("n", [2, 3, 4, 17])
+def test_periodic_partial_is_the_wrap_padded_gradient(n, j):
+    # the in-place wrap stencil must be bitwise np.gradient on the axis
+    # padded by one sample at each end, down to two-point axes
+    rng = np.random.default_rng(n + 10 * j)
+    shape = [5, 6, 4]
+    shape[j] = n
+    axes = [np.linspace(0.0, 0.3 * (k + 1), m, endpoint=False)
+            for k, m in enumerate(shape)]
+    f = ModeField(axes, rng.normal(size=(*shape, 3))
+                  + 1j * rng.normal(size=(*shape, 3)),
+                  periodic=(True, True, True))
+    pad = [(0, 0)] * 3
+    pad[j] = (1, 1)
+    for i in range(3):
+        g = np.gradient(np.pad(f.values[..., i], pad, mode="wrap"),
+                        axes[j][1] - axes[j][0], axis=j, edge_order=2)
+        ref = np.take(g, np.arange(1, n + 1), axis=j)
+        assert np.array_equal(coupling._partial(f, i, j).view(np.uint64),
+                              ref.view(np.uint64))
 
 
 def test_longitudinal_scale_counts_all_nine_partials():
@@ -494,6 +518,22 @@ def test_mode_field_round_trip(tmp_path):
     g = load_mode_field(path)
     assert all(np.array_equal(a, b) for a, b in zip(f.axes, g.axes))
     assert np.array_equal(f.values, g.values)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_mode_field_round_trip(tmp_path, suffix):
+    # the suffix compresses the file, and the reader follows it
+    rng = np.random.default_rng(4)
+    axes = (np.linspace(0, 1, 4), np.linspace(0, 2, 3), np.linspace(0, 3, 5))
+    f = ModeField(axes, rng.normal(size=(4, 3, 5, 3))
+                  + 1j * rng.normal(size=(4, 3, 5, 3)))
+    save_mode_field(tmp_path / f"mode.txt{suffix}", f)
+    save_mode_field(tmp_path / "mode.txt", f)
+    raw = (tmp_path / f"mode.txt{suffix}").read_bytes()
+    assert raw != (tmp_path / "mode.txt").read_bytes()
+    g = load_mode_field(tmp_path / f"mode.txt{suffix}")
+    assert all(np.array_equal(a, b) for a, b in zip(f.axes, g.axes))
+    assert np.array_equal(f.values.view(np.uint64), g.values.view(np.uint64))
 
 
 def test_mode_field_load_rejects_bad_header(tmp_path):

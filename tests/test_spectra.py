@@ -19,12 +19,12 @@ from phonocool import (
     occupancy,
     phonon_spectrum,
     save_curve,
-    spectrum_oracle,
 )
 from phonocool import spectra
 from phonocool.dynamics import DriftMatrix
 
 from _quadrature import occupancy_quadrature
+from _spectrum_oracle import spectrum_oracle
 
 FIG2 = SystemParams(kappa2=1.0, delta=0.0, omega=0.1, gamma1=0.01,
                     gamma2=0.01, g1=0.3, g2=0.5, nbar1=100.0)

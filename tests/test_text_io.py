@@ -1,0 +1,238 @@
+"""The columnar text writer against np.savetxt, kept here as the oracle:
+every table the program writes must be byte for byte what
+np.savetxt(fmt="%.17g") wrote for the same columns."""
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import phonocool
+from phonocool import (ModeField, SystemParams, ThreeWaveParams, ThreeWaveState,
+                       evolve_three_wave, phonon_spectrum,
+                       save_curve, save_mode_field)
+from phonocool import core, langevin
+from phonocool.cli import main
+
+
+def savetxt_bytes(tmp_path, columns, header, delimiter=",", comments="# "):
+    path = tmp_path / "oracle.txt"
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g",
+               delimiter=delimiter, header=header, comments=comments)
+    return path.read_bytes()
+
+
+def rewritten_by_savetxt(tmp_path, path):
+    """What np.savetxt writes for the '# ' header lines and the numbers
+    that the CSV file at `path` holds."""
+    lines = pathlib.Path(path).read_text().splitlines()
+    header = "\n".join(ln[2:] for ln in lines if ln.startswith("# "))
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    return savetxt_bytes(tmp_path, list(data.T), header)
+
+
+SPECIAL = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308,
+                    0.1, 1.0 / 3.0, -2.5e-310, 123456789.0, 1.0])
+
+
+@pytest.mark.parametrize("header", ["", "one line", "two\nlines"])
+def test_special_values_and_headers(tmp_path, header):
+    columns = [SPECIAL, SPECIAL[::-1].copy(), -SPECIAL]
+    core._write_columns(tmp_path / "out.csv", header, columns)
+    assert ((tmp_path / "out.csv").read_bytes()
+            == savetxt_bytes(tmp_path, columns, header))
+
+
+@pytest.mark.parametrize("n", [0, core._ROWS - 1, core._ROWS, core._ROWS + 1,
+                               5 * core._ROWS + 1])
+def test_row_counts_around_the_chunk_size(tmp_path, n):
+    # zero rows writes the header only
+    rng = np.random.default_rng(n)
+    columns = [rng.standard_normal(n), np.arange(n) * 0.5]
+    core._write_columns(tmp_path / "out.csv", "h", columns)
+    assert ((tmp_path / "out.csv").read_bytes()
+            == savetxt_bytes(tmp_path, columns, "h"))
+
+
+def test_one_row(tmp_path):
+    columns = [np.array([2.0]), np.array([-0.0]), np.array([np.nan])]
+    core._write_columns(tmp_path / "out.txt", "a b", columns, delimiter=" ",
+                        comments="")
+    assert ((tmp_path / "out.txt").read_bytes()
+            == savetxt_bytes(tmp_path, columns, "a b", " ", ""))
+
+
+def test_complex_column_is_its_real_and_imaginary_parts(tmp_path):
+    z = np.empty(SPECIAL.size, dtype=complex)
+    z.real, z.imag = SPECIAL, SPECIAL[::-1]
+    core._write_columns(tmp_path / "out.csv", "t, Re, Im", [-SPECIAL, z])
+    assert ((tmp_path / "out.csv").read_bytes() == savetxt_bytes(
+        tmp_path, [-SPECIAL, z.real, z.imag], "t, Re, Im"))
+
+
+def test_preformatted_text_column(tmp_path):
+    x = np.array([0.1, -0.0, 1e-300, 3.0])
+    text = np.array(["%.17g" % v for v in x], dtype=object)
+    y = np.array([1.5, 2.5, np.inf, -7.0])
+    core._write_columns(tmp_path / "out.csv", "x, y", [text, y])
+    assert ((tmp_path / "out.csv").read_bytes()
+            == savetxt_bytes(tmp_path, [x, y], "x, y"))
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_suffix_matches_savetxt(tmp_path, suffix):
+    columns = [np.linspace(0.0, 1.0, 3000), np.linspace(5.0, -5.0, 3000)]
+    path = tmp_path / f"out.csv{suffix}"
+    core._write_columns(path, "h", columns)
+    np.savetxt(tmp_path / f"ref.csv{suffix}", np.column_stack(columns),
+               fmt="%.17g", delimiter=",", header="h")
+    with core._open_text(path, "rt") as got, \
+            core._open_text(tmp_path / f"ref.csv{suffix}", "rt") as ref:
+        assert got.read() == ref.read()
+    assert not path.read_bytes().startswith(b"# h")
+
+
+_ENCODE = """
+import sys
+import numpy as np
+from phonocool import Trajectory
+traj = Trajectory(np.arange(3.0), *(np.full(3, 0.5 - 1j),) * 3)
+
+
+def outcome(write, path):
+    try:
+        write(path)
+    except UnicodeEncodeError:
+        return "UnicodeEncodeError"
+    with open(path, "rb") as fh:
+        return fh.read().hex()
+
+
+unit = sys.argv[1]
+header = (f"time unit: {unit}; amplitudes dimensionless\\n"
+          "t, Re(a1), Im(a1), Re(a2), Im(a2), Re(u), Im(u)")
+data = np.column_stack([traj.t, traj.a1.real, traj.a1.imag, traj.a2.real,
+                        traj.a2.imag, traj.u.real, traj.u.imag])
+print(outcome(lambda p: traj.save_csv(p, time_unit=unit), sys.argv[2]))
+print(outcome(lambda p: np.savetxt(p, data, fmt="%.17g", delimiter=",",
+                                   header=header), sys.argv[3]))
+"""
+
+
+@pytest.mark.parametrize("env", [{}, {"PYTHONUTF8": "0", "LC_ALL": "C",
+                                      "PYTHONCOERCECLOCALE": "0"}],
+                         ids=["default-locale", "ascii-locale"])
+@pytest.mark.parametrize("unit", ["s", "µs", "τ"])
+def test_header_encoding_follows_savetxt(tmp_path, env, unit):
+    # both write in the locale's encoding: a unit it cannot encode raises
+    # UnicodeEncodeError from both, anything else gives the same bytes
+    src = os.path.dirname(os.path.dirname(phonocool.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _ENCODE, unit, str(tmp_path / "got.csv"),
+         str(tmp_path / "ref.csv")], check=True, capture_output=True,
+        text=True, timeout=60, env={**os.environ, **env, "PYTHONPATH": src})
+    got, ref = out.stdout.split()
+    assert got == ref
+    if env and unit != "s":
+        assert got == "UnicodeEncodeError"
+
+
+# ---------------------------------------------------------------------------
+# the five writing sites
+
+
+def test_cli_csv_is_savetxt(tmp_path):
+    for argv in (["sweep", "--axis", "g1", "--from", "0.1", "--to", "0.4",
+                  "--count", "7", "--scale", "log", "--metric", "occupancy:2"],
+                 ["cooling-ratio", "--mode", "1"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--g1", "0.3", "--gamma1", "0.01", "--gamma2",
+                            "0.02", "--omega", "0.1", "--nbar1", "100",
+                            "--output", str(out)]) == 0
+        assert out.read_bytes() == rewritten_by_savetxt(tmp_path, out)
+
+
+def test_save_curve_is_savetxt(tmp_path):
+    p = SystemParams(kappa2=2.0, omega=0.1, gamma1=0.01, gamma2=0.02, g1=0.3,
+                     g2=0.2, nbar1=100.0)
+    curve = phonon_spectrum(p, 1, np.linspace(-3.0, 3.0, 2049))
+    save_curve(tmp_path / "s.csv", curve, p)
+    header = ("kind: phonon1\nnormalized: False\n"
+              "columns: omega_over_kappa2, S [1/(rad/s) in kappa2 units]")
+    assert ((tmp_path / "s.csv").read_bytes() == savetxt_bytes(
+        tmp_path, [curve.omegas / 2.0, curve.values], header))
+
+
+def test_trajectory_csv_is_savetxt(tmp_path):
+    traj = evolve_three_wave(
+        ThreeWaveParams(beta=0.5 + 0.1j, pump=1.0, kappa1=0.3, kappa2=1.0,
+                        Gamma=0.05),
+        ThreeWaveState(a1=1.0, a2=0.1j, u=0.2), 30.0, 0.01)
+    traj.save_csv(tmp_path / "t.csv", time_unit="ms")
+    header = ("time unit: ms; amplitudes dimensionless\n"
+              "t, Re(a1), Im(a1), Re(a2), Im(a2), Re(u), Im(u)")
+    assert ((tmp_path / "t.csv").read_bytes() == savetxt_bytes(
+        tmp_path, [traj.t, traj.a1.real, traj.a1.imag, traj.a2.real,
+                   traj.a2.imag, traj.u.real, traj.u.imag], header))
+
+
+def test_dumped_trajectory_is_savetxt(tmp_path):
+    rng = np.random.default_rng(3)
+    t = 0.5 * np.arange(1, 1501)
+    rec = rng.standard_normal((1500, 3)) + 1j * rng.standard_normal((1500, 3))
+    langevin._dump_trajectory(str(tmp_path), 12, t, rec)
+    header = "t, Re(a2), Im(a2), Re(b1), Im(b1), Re(b2), Im(b2)"
+    assert ((tmp_path / "traj_00012.csv").read_bytes() == savetxt_bytes(
+        tmp_path, [t] + [f(rec[:, k]) for k in range(3)
+                         for f in (np.real, np.imag)], header))
+
+
+def _mode_field_savetxt(tmp_path, f):
+    """The mode-field writer as it was: every coordinate formatted per row."""
+    x, y, z = np.meshgrid(*f.axes, indexing="ij")
+    columns = [x.ravel(), y.ravel(), z.ravel()]
+    for c in range(3):
+        columns += [f.values[..., c].real.ravel(), f.values[..., c].imag.ravel()]
+    return savetxt_bytes(tmp_path, columns, " ".join(map(str, f.shape)), " ", "")
+
+
+def _fields():
+    rng = np.random.default_rng(17)
+    open_axes = tuple(np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.3
+                      for n in (5, 6, 7))
+    two = (np.array([0.0, 0.5]), np.array([-1.0, 1e-300]), np.array([1.0, 1e308]))
+    special = np.zeros((2, 2, 2, 3), dtype=complex)
+    finite = SPECIAL[np.isfinite(SPECIAL)]
+    special.real.flat[:finite.size] = finite
+    special.imag.flat[-finite.size:] = -finite
+    return [
+        ModeField(open_axes, rng.standard_normal((5, 6, 7, 3))
+                  + 1j * rng.standard_normal((5, 6, 7, 3))),
+        ModeField(two, rng.standard_normal((2, 2, 2, 3)) + 0j,
+                  periodic=(True, True, True)),
+        ModeField(two, special, periodic=(True, False, True)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["non-uniform-open",
+                                                 "two-point-periodic",
+                                                 "special-values"])
+def test_mode_field_is_savetxt(tmp_path, index):
+    f = _fields()[index]
+    save_mode_field(tmp_path / "f.txt", f)
+    assert (tmp_path / "f.txt").read_bytes() == _mode_field_savetxt(tmp_path, f)
+
+
+def test_no_second_writer_in_the_package():
+    # one writer: every table goes through core._write_columns
+    calls = []
+    for path in pathlib.Path(phonocool.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.Attribute, ast.Name))
+                    and getattr(node, "attr", getattr(node, "id", None))
+                    in ("savetxt", "column_stack")):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
