@@ -16,13 +16,13 @@ import argparse
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .core import (SystemParams, ThreeWaveParams, ThreeWaveState, _write_columns,
-                   validate)
+                   _write_json, validate)
 from .coupling import beta_acoustic, load_mode_field, normalize_mode
 from .dynamics import IntegrationError, collective_rates, evolve_three_wave
 from .langevin import CovarianceError, simulate_ensemble
@@ -122,12 +122,14 @@ def _expand_config(argv: list[str]) -> list[str]:
 # metadata and output
 
 
+# the SystemParams fields a system command takes as flags and sweeps;
+# kappa2 = 1 is the unit
+_SWEEP_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "kappa2")
+
+
 def _build_params(args) -> SystemParams:
     return validate(SystemParams(
-        kappa2=1.0, delta=args.delta, omega=args.omega,
-        gamma1=args.gamma1, gamma2=args.gamma2,
-        g1=args.g1, g2=args.g2,
-        nbar1=args.nbar1, nbar2=args.nbar2))
+        kappa2=1.0, **{name: getattr(args, name) for name in _SWEEP_FIELDS}))
 
 
 def _dest(option: str, kwargs: dict) -> str:
@@ -156,9 +158,7 @@ def _meta(args, **extra) -> dict:
 
 
 def _write_sidecar(args, **extra) -> None:
-    with open(f"{args.output}.meta.json", "w") as fh:
-        json.dump(_meta(args, **extra), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(f"{args.output}.meta.json", _meta(args, **extra))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +212,6 @@ def cmd_simulate(args) -> None:
         print(f"wrote {args.output}")
     else:
         print(text)
-
-
-_SWEEP_FIELDS = ("delta", "omega", "gamma1", "gamma2",
-                 "g1", "g2", "nbar1", "nbar2")
 
 
 def _metric_fn(spec: str):
@@ -275,9 +271,7 @@ def cmd_collective(args) -> None:
             "vec_plus": [[c.real, c.imag] for c in modes.vec_plus],
             "vec_minus": [[c.real, c.imag] for c in modes.vec_minus],
         }
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.output, payload)
         _write_sidecar(args)
         print(f"wrote {args.output}")
 

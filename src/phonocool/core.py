@@ -11,10 +11,11 @@ from __future__ import annotations
 import bz2
 import gzip
 import itertools
+import json
 import lzma
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class ParameterError(ValueError):
@@ -52,16 +53,11 @@ class SystemParams:
     def __post_init__(self):
         # normalize field types; nbar2 falls back to nbar1 (two nearby
         # modes at the same ambient temperature)
-        object.__setattr__(self, "kappa2", float(self.kappa2))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "gamma1", float(self.gamma1))
-        object.__setattr__(self, "gamma2", float(self.gamma2))
-        object.__setattr__(self, "g1", complex(self.g1))
-        object.__setattr__(self, "g2", complex(self.g2))
-        object.__setattr__(self, "nbar1", float(self.nbar1))
-        nbar2 = self.nbar1 if self.nbar2 is None else self.nbar2
-        object.__setattr__(self, "nbar2", float(nbar2))
+        if self.nbar2 is None:
+            object.__setattr__(self, "nbar2", self.nbar1)
+        for f in fields(self):
+            kind = complex if f.type == "complex" else float
+            object.__setattr__(self, f.name, kind(getattr(self, f.name)))
 
 
 def validate(params: SystemParams) -> SystemParams:
@@ -71,20 +67,18 @@ def validate(params: SystemParams) -> SystemParams:
     idempotent and every downstream operation calls it, so an invalid
     parameter set cannot propagate into the numerics.
     """
-    for name in ("kappa2", "delta", "omega", "gamma1", "gamma2",
-                 "g1", "g2", "nbar1", "nbar2"):
-        _require_finite(name, getattr(params, name))
+    for f in fields(params):
+        _require_finite(f.name, getattr(params, f.name))
     if not params.kappa2 > 0:
         raise ParameterError("kappa2 must be positive")
-    if params.gamma1 < 0:
-        raise ParameterError("gamma1 must be nonnegative")
-    if params.gamma2 < 0:
-        raise ParameterError("gamma2 must be nonnegative")
-    if params.nbar1 < 0:
-        raise ParameterError("nbar1 must be nonnegative")
-    if params.nbar2 < 0:
-        raise ParameterError("nbar2 must be nonnegative")
+    _require_nonnegative(params, "gamma1", "gamma2", "nbar1", "nbar2")
     return params
+
+
+def _require_nonnegative(params, *names: str) -> None:
+    for name in names:
+        if getattr(params, name) < 0:
+            raise ParameterError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -156,15 +150,9 @@ def validate_three_wave(params: ThreeWaveParams) -> ThreeWaveParams:
     Zero optical widths are allowed so the lossless (Manley-Rowe) regime
     is representable.
     """
-    for name in ("kappa1", "kappa2", "Gamma", "Delta1", "Delta2",
-                 "delta", "beta", "pump"):
-        _require_finite(name, getattr(params, name))
-    if params.kappa1 < 0:
-        raise ParameterError("kappa1 must be nonnegative")
-    if params.kappa2 < 0:
-        raise ParameterError("kappa2 must be nonnegative")
-    if params.Gamma < 0:
-        raise ParameterError("Gamma must be nonnegative")
+    for f in fields(params):
+        _require_finite(f.name, getattr(params, f.name))
+    _require_nonnegative(params, "kappa1", "kappa2", "Gamma")
     return params
 
 
@@ -183,6 +171,16 @@ class ThreeWaveState:
 
 
 # ---------------------------------------------------------------------------
+# written records
+
+
+def _write_json(path, obj) -> None:
+    """Write obj as JSON with indent 2, sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 # columnar text files
 
 # compressed by suffix, as numpy's text readers and writers do

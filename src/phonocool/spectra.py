@@ -11,14 +11,13 @@ that cannot affect the other mode, so it is dropped and only the coupled
 """
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .core import SystemParams, _write_columns, validate
+from .core import SystemParams, _write_columns, _write_json, validate
 from .dynamics import _noise_densities, drift_matrix
 
 
@@ -55,20 +54,28 @@ class SpectrumCurve:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
 
 
-def _denominators(p: SystemParams, omega):
-    omega = np.asarray(omega, dtype=float)
-    da = 1j * (p.delta - omega) + p.kappa2
-    d1 = 1j * (p.omega - omega) + p.gamma1
-    d2 = -1j * (p.omega + omega) + p.gamma2
-    return da, d1, d2
-
-
-def _check_poles(p: SystemParams, omega) -> None:
+def _response(p: SystemParams, omega):
+    """(da, d1, d2, d) at omega: the bare cavity and phonon denominators and
+    the coupled cavity response d = da + |G1|^2/d1 + |G2|^2/d2.  Raises
+    SingularityError when omega hits the pole of a zero-width mode."""
     omega = np.asarray(omega, dtype=float)
     if p.gamma1 == 0.0 and np.any(omega == p.omega):
         raise SingularityError("pole hit: gamma1 = 0 at omega = +Omega")
     if p.gamma2 == 0.0 and np.any(omega == -p.omega):
         raise SingularityError("pole hit: gamma2 = 0 at omega = -Omega")
+    da = 1j * (p.delta - omega) + p.kappa2
+    d1 = 1j * (p.omega - omega) + p.gamma1
+    d2 = -1j * (p.omega + omega) + p.gamma2
+    return da, d1, d2, da + abs(p.g1)**2 / d1 + abs(p.g2)**2 / d2
+
+
+def _mode(p: SystemParams, mode: int):
+    """(gamma, G, nbar, resonance frequency) of phonon mode 1 or 2."""
+    if mode == 1:
+        return p.gamma1, p.g1, p.nbar1, p.omega
+    if mode == 2:
+        return p.gamma2, p.g2, p.nbar2, -p.omega
+    raise ValueError(f"mode must be 1 or 2, got {mode!r}")
 
 
 def d_of_omega(params: SystemParams, omega):
@@ -78,10 +85,7 @@ def d_of_omega(params: SystemParams, omega):
       + |G2|^2/(-i Omega - i omega + gamma2).
     Scalar in, scalar out; arrays broadcast.
     """
-    p = validate(params)
-    _check_poles(p, omega)
-    da, d1, d2 = _denominators(p, omega)
-    out = da + abs(p.g1)**2 / d1 + abs(p.g2)**2 / d2
+    out = _response(validate(params), omega)[3]
     return out if np.ndim(omega) else complex(out)
 
 
@@ -95,27 +99,19 @@ def _grid_span_warning(p: SystemParams, omegas: np.ndarray) -> None:
 
 
 def _phonon_density(p: SystemParams, mode: int, omega) -> np.ndarray:
-    da, d1, d2 = _denominators(p, omega)
-    g1sq, g2sq = abs(p.g1)**2, abs(p.g2)**2
-    d = da + g1sq / d1 + g2sq / d2
-    cross = abs(p.g1 * p.g2)**2
-    if mode == 1:
-        num = (2 * p.gamma1 * p.nbar1 * np.abs(da + g2sq / d2)**2
-               + 2 * p.gamma2 * p.nbar2 * cross / np.abs(d2)**2)
-        return num / (np.abs(d)**2 * np.abs(d1)**2)
-    num = (2 * p.gamma2 * p.nbar2 * np.abs(da + g1sq / d1)**2
-           + 2 * p.gamma1 * p.nbar1 * cross / np.abs(d1)**2)
-    return num / (np.abs(d)**2 * np.abs(d2)**2)
+    da, d1, d2, d = _response(p, omega)
+    n = _noise_densities(p)
+    # noise density and denominator of this mode (i) and of the other (j)
+    (ni, di), (nj, dj, gj) = (((n[1], d1), (n[2], d2, p.g2)) if mode == 1
+                              else ((n[2], d2), (n[1], d1, p.g1)))
+    num = (ni * np.abs(da + abs(gj)**2 / dj)**2
+           + nj * abs(p.g1 * p.g2)**2 / np.abs(dj)**2)
+    return num / (np.abs(d)**2 * np.abs(di)**2)
 
 
 # a drift eigenvalue decaying slower than this fraction of ||M|| is
 # indistinguishable from marginal in double precision
 _MARGIN_RTOL = 64 * np.finfo(float).eps
-
-
-def _require_mode(mode: int) -> None:
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode!r}")
 
 
 def phonon_spectrum(params: SystemParams, mode: int, omegas,
@@ -126,14 +122,11 @@ def phonon_spectrum(params: SystemParams, mode: int, omegas,
     peak equals one.
     """
     p = validate(params)
-    _require_mode(mode)
+    gamma, _, nbar, _ = _mode(p, mode)
     omegas = np.asarray(omegas, dtype=float)
-    _check_poles(p, omegas)
+    values = _phonon_density(p, mode, omegas)  # raises on a pole
     _grid_span_warning(p, omegas)
-    values = _phonon_density(p, mode, omegas)
     if normalized:
-        gamma = p.gamma1 if mode == 1 else p.gamma2
-        nbar = p.nbar1 if mode == 1 else p.nbar2
         if nbar <= 0:
             raise ValueError("normalized spectrum needs a positive occupancy")
         values = gamma * values / (2 * nbar)
@@ -145,11 +138,9 @@ def antistokes_spectrum(params: SystemParams, omegas) -> SpectrumCurve:
     """Closed-form spectrum of the generated anti-Stokes cavity field."""
     p = validate(params)
     omegas = np.asarray(omegas, dtype=float)
-    _check_poles(p, omegas)
-    da, d1, d2 = _denominators(p, omegas)
-    d = da + abs(p.g1)**2 / d1 + abs(p.g2)**2 / d2
-    num = (2 * p.gamma1 * p.nbar1 * np.abs(p.g1 / d1)**2
-           + 2 * p.gamma2 * p.nbar2 * np.abs(p.g2 / d2)**2)
+    _, d1, d2, d = _response(p, omegas)
+    n = _noise_densities(p)
+    num = n[1] * np.abs(p.g1 / d1)**2 + n[2] * np.abs(p.g2 / d2)**2
     return SpectrumCurve(omegas=omegas, values=num / np.abs(d)**2,
                          kind="antistokes")
 
@@ -166,9 +157,10 @@ def occupancy(params: SystemParams, mode: int) -> float:
     rounding (no steady state to report).
     """
     p = validate(params)
-    _require_mode(mode)
+    _mode(p, mode)  # rejects a mode other than 1 or 2
     keep = [0]
-    for i, gamma, g in ((1, p.gamma1, p.g1), (2, p.gamma2, p.g2)):
+    for i in (1, 2):
+        gamma, g, _, _ = _mode(p, i)
         if gamma > 0:
             keep.append(i)
         elif i == mode or g != 0:
@@ -192,8 +184,7 @@ def cooling_ratio(params: SystemParams, mode: int) -> float:
     occupancy; equals 1 without coupling and also gives the final/initial
     temperature ratio in the classical limit."""
     p = validate(params)
-    _require_mode(mode)
-    nbar = p.nbar1 if mode == 1 else p.nbar2
+    nbar = _mode(p, mode)[2]
     if nbar <= 0:
         raise ValueError(f"cooling ratio undefined: nbar{mode} must be positive")
     return occupancy(p, mode) / nbar
@@ -204,10 +195,7 @@ def cooling_ratio_adiabatic(params: SystemParams, mode: int) -> float:
     Lorentzian evaluated at the mode's resonance frequency.  Useful as a
     sanity check on the full steady state in the kappa2 >> gamma regime."""
     p = validate(params)
-    _require_mode(mode)
-    gamma = p.gamma1 if mode == 1 else p.gamma2
-    g = p.g1 if mode == 1 else p.g2
-    res = p.omega if mode == 1 else -p.omega
+    gamma, g, _, res = _mode(p, mode)
     gamma_eff = gamma + abs(g)**2 * p.kappa2 / (p.kappa2**2 + (p.delta - res)**2)
     if gamma_eff <= 0:
         raise ValueError("effective width must be positive")
@@ -220,13 +208,8 @@ def cooling_ratio_adiabatic(params: SystemParams, mode: int) -> float:
 
 def params_dict(params: SystemParams) -> dict:
     """JSON-serializable view of SystemParams (complex as [re, im])."""
-    return {
-        "kappa2": params.kappa2, "delta": params.delta, "omega": params.omega,
-        "gamma1": params.gamma1, "gamma2": params.gamma2,
-        "g1": [params.g1.real, params.g1.imag],
-        "g2": [params.g2.real, params.g2.imag],
-        "nbar1": params.nbar1, "nbar2": params.nbar2,
-    }
+    return {name: [v.real, v.imag] if isinstance(v, complex) else v
+            for name, v in asdict(params).items()}
 
 
 def save_curve(path, curve: SpectrumCurve, params: SystemParams,
@@ -252,6 +235,4 @@ def save_curve(path, curve: SpectrumCurve, params: SystemParams,
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(f"{path}.meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(f"{path}.meta.json", meta)
