@@ -34,6 +34,9 @@ class ModeField:
     periodic  per-axis flag: samples cover one period, endpoint excluded
     longitudinal  if set, the field is checked to be curl-free to within
                   the finite-difference tolerance at construction
+    curl_tol  that tolerance, relative to the largest partial derivative;
+              the check's own discretization error grows like (qh)^2 for
+              a wave of wavevector q on grid spacing h
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -210,9 +213,9 @@ def save_mode_field(path, field_: ModeField) -> None:
                    delimiter=" ", comments="")
 
 
-def load_mode_field(path, periodic=(False, False, False),
-                    longitudinal: bool = False) -> ModeField:
-    """Read a mode field written by save_mode_field, compressed or not."""
+def load_mode_field(path, periodic=(False, False, False)) -> ModeField:
+    """Read a mode field written by save_mode_field, compressed or not;
+    flag it with dataclasses.replace(f, longitudinal=True, curl_tol=tol)."""
     with _open_text(path, "rt") as fh:
         first = fh.readline().split()
         if len(first) != 3:
@@ -229,11 +232,24 @@ def load_mode_field(path, periodic=(False, False, False),
     if not np.allclose(coords, expect, rtol=1e-12, atol=0.0):
         raise GridError(f"{path}: coordinates are not a rectilinear grid in C order")
     values = (data[:, 3::2] + 1j * data[:, 4::2]).reshape(nx, ny, nz, 3)
-    return ModeField(axes, values, periodic=periodic, longitudinal=longitudinal)
+    return ModeField(axes, values, periodic=periodic)
 
 
 # ---------------------------------------------------------------------------
 # coupling constants
+
+
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0 < value < np.inf:
+            raise ParameterError(
+                f"{name} must be finite and positive, got {value!r}")
+
+
+def _optical_prefactor(omega_c1, omega_c2, eps1, eps2) -> float:
+    """sqrt(w_c2 w_c1 / (eps2 eps1)), the optical factor of both couplings."""
+    _require_positive(omega_c1=omega_c1, omega_c2=omega_c2, eps1=eps1, eps2=eps2)
+    return np.sqrt(omega_c2 * omega_c1 / (eps2 * eps1))
 
 
 def beta_acoustic(phi2: ModeField, phi1: ModeField, psi: ModeField,
@@ -246,9 +262,9 @@ def beta_acoustic(phi2: ModeField, phi1: ModeField, psi: ModeField,
     uses the centered second-order stencil, so the result converges as h^2
     on smooth fields.
     """
+    pref = 0.5 * gamma_e * _optical_prefactor(omega_c1, omega_c2, eps1, eps2)
     _require_common_grid(phi2, phi1, psi)
     _require_resolved(psi)
-    pref = 0.5 * gamma_e * np.sqrt(omega_c2 * omega_c1 / (eps2 * eps1))
     overlap = np.einsum("xyzc,xyzc->xyz", np.conj(phi2.values), phi1.values)
     return pref * integrate(psi, overlap * divergence(psi))
 
@@ -283,8 +299,8 @@ def beta_raman(R: RamanTensor, phi2: ModeField, phi1: ModeField,
                eps1: float, eps2: float) -> complex:
     """General anti-Stokes coupling via the Raman tensor:
     2 pi sqrt(w_c2 w_c1/(eps2 eps1)) sum_ijk R_ijk int phi2_i* phi1_j psi_k."""
+    pref = 2 * np.pi * _optical_prefactor(omega_c1, omega_c2, eps1, eps2)
     _require_common_grid(phi2, phi1, psi)
-    pref = 2 * np.pi * np.sqrt(omega_c2 * omega_c1 / (eps2 * eps1))
     integrand = np.zeros(psi.shape, dtype=complex)
     for i in range(3):  # phi2_i* sum_jk R_ijk phi1_j psi_k
         integrand += np.conj(phi2.values[..., i]) * np.einsum(
@@ -311,6 +327,7 @@ def normalize_mode(psi: ModeField, rho0: float, omega_m: float,
                    hbar: float) -> ModeField:
     """Rescale a phonon mode so its kinetic-energy norm equals half a quantum:
     rho0 omega_m^2 int |psi|^2 d^3r = hbar omega_m / 2."""
+    _require_positive(rho0=rho0, omega_m=omega_m, hbar=hbar)
     norm2 = integrate(psi, np.einsum("xyzc,xyzc->xyz",
                                      np.conj(psi.values), psi.values)).real
     if norm2 <= 0.0:

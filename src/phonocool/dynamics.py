@@ -59,11 +59,15 @@ def evolve_three_wave(params: ThreeWaveParams, init: ThreeWaveState,
     A stability guard requires dt * max(rates) < 0.1, where the rate scale
     includes |beta| times the largest initial amplitude.  The run takes
     round(t_end / dt) steps of dt, so it ends within dt/2 of t_end;
-    Trajectory.t records the times actually reached.
+    Trajectory.t records the times actually reached; dt must be finite
+    and positive, t_end finite and nonnegative.
     """
     p = validate_three_wave(params)
-    if not dt > 0:
-        raise IntegrationError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise IntegrationError(f"dt must be positive and finite, got {dt!r}")
+    if not 0 <= t_end < np.inf:
+        raise IntegrationError(
+            f"t_end must be finite and nonnegative, got {t_end!r}")
     amp = max(abs(init.a1), abs(init.a2), abs(init.u), abs(p.pump))
     rate = max(p.kappa1, p.kappa2, p.Gamma, abs(p.Delta1), abs(p.Delta2),
                abs(p.delta), abs(p.beta) * amp)

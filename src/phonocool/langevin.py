@@ -127,6 +127,9 @@ def _whole_steps(span: float, dt: float, name: str) -> int:
 def _record(t_end: float, dt: float, burn_in: float) -> tuple[int, int]:
     """(burn-in steps, recorded steps) of a run, after checking the time
     grid."""
+    for name, value in (("dt", dt), ("t_end", t_end), ("burn_in", burn_in)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if dt <= 0 or t_end <= burn_in or burn_in < 0:
         raise ValueError("need dt > 0 and t_end > burn_in >= 0")
     n_tot = _whole_steps(t_end, dt, "t_end")
@@ -289,12 +292,12 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
         raise ValueError("n_traj must be at least 1")
     if not 0 <= overlap < 1:
         raise ValueError(f"overlap must be in [0, 1), got {overlap!r}")
+    n_burn, n_rec = _record(t_end, dt, burn_in)
     gammas = [g for g in (p.gamma1, p.gamma2) if g > 0]
     if gammas and (t_end - burn_in) < 50.0 / min(gammas):
         raise ValueError(
             f"record too short: need t_end - burn_in >= {50.0 / min(gammas):g} "
             "(50 / smallest phonon half-width)")
-    n_burn, n_rec = _record(t_end, dt, burn_in)
     if segment_length is not None and not float(segment_length).is_integer():
         raise ValueError("segment_length must be a whole number of samples, "
                          f"got {segment_length!r}")

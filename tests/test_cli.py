@@ -1,12 +1,12 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from phonocool import (SystemParams, cooling_ratio, phonon_spectrum, plane_wave,
                        save_mode_field)
-from phonocool.cli import CliError, RunConfig, main, run
+from phonocool.cli import COMMANDS, CliError, RunConfig, main, run
 
 
 def invoke(argv, capsys=None):
@@ -385,3 +385,84 @@ def test_every_command_round_trips_through_its_sidecar(command, tmp_path,
     assert second["config"].pop("output") == "again"
     first["config"].pop("output")
     assert second == first
+
+
+# ---------------------------------------------------------------------------
+# the system parameters are declared once, by the SystemParams fields
+
+SYSTEM_COMMANDS = ("spectrum", "antistokes", "cooling-ratio", "simulate",
+                   "sweep", "collective")
+FLAG_FIELDS = [f.name for f in fields(SystemParams) if f.name != "kappa2"]
+
+
+@pytest.mark.parametrize("name", FLAG_FIELDS)
+def test_every_system_field_is_a_flag_and_a_sweep_axis(name, tmp_path):
+    for command in SYSTEM_COMMANDS:
+        assert f"--{name}" in [option for option, _ in COMMANDS[command][2]]
+    out = tmp_path / "sweep.csv"
+    assert invoke(["sweep", "--axis", name, "--from", "0.1", "--to", "0.2",
+                   "--count", "2", "--metric", "occupancy:1", "--g1", "0.3",
+                   "--gamma1", "0.01", "--gamma2", "0.01",
+                   "--output", str(out)]) == 0
+    assert out.read_text().startswith(f"# columns: {name} [kappa2 units]")
+
+
+def test_kappa2_is_the_unit_not_a_flag():
+    for command in SYSTEM_COMMANDS:
+        assert "--kappa2" not in [option for option, _ in COMMANDS[command][2]]
+
+
+# ---------------------------------------------------------------------------
+# rejected inputs: one diagnostic line, no traceback, no output file
+
+
+def assert_rejected(argv, name, out, capsys, code):
+    """argv exits with `code` and one diagnostic line naming `name`, and
+    writes no output file."""
+    assert invoke(argv + ["--output", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error:" if code == 1 else "numerical failure:")
+    assert name in err
+    assert not out.exists()
+    assert not out.with_name(out.name + ".meta.json").exists()
+
+
+def flag_name(flag):
+    return flag[2:].split("=")[0].replace("-", "_")
+
+
+@pytest.mark.parametrize("flag", ["--t-end=inf", "--t-end=nan", "--dt=nan",
+                                  "--dt=inf", "--burn-in=nan"])
+def test_simulate_rejects_non_finite_times(flag, tmp_path, capsys):
+    assert_rejected(["simulate", "--g1", "0.3", "--gamma1", "0.01",
+                     "--gamma2", "0.01", "--n-traj", "2", flag],
+                    flag_name(flag), tmp_path / "mc.json", capsys, 1)
+
+
+@pytest.mark.parametrize("times", [
+    ["--t-end=inf", "--dt=0.01"], ["--t-end=nan", "--dt=0.01"],
+    ["--t-end=-0.006", "--dt=0.01"], ["--t-end=-1", "--dt=0.01"],
+    ["--t-end=-0.004", "--dt=0.01"], ["--t-end=1", "--dt=inf"],
+    ["--t-end=1", "--dt=nan"]])
+def test_three_wave_rejects_bad_times(times, tmp_path, capsys):
+    name = "dt" if "inf" in times[1] or "nan" in times[1] else "t_end"
+    assert_rejected(["three-wave", "--kappa1=0", "--gamma=0", *times],
+                    name, tmp_path / "tw.csv", capsys, 2)
+
+
+@pytest.mark.parametrize("flag", [
+    "--omega-c1=-3", "--omega-c2=0", "--eps1=0", "--eps2=nan",
+    "--rho0=0", "--rho0=-1", "--omega-m=0", "--hbar=-1", "--hbar=inf"])
+def test_coupling_rejects_degenerate_constants(flag, tmp_path, capsys):
+    ax = np.arange(8) / 8
+    argv = ["coupling", "--gamma-e", "2.0", "--omega-c1", "3.0",
+            "--omega-c2", "4.0", "--periodic-x", "--periodic-y",
+            "--periodic-z", "--normalize"]
+    for name, k, pol in (("phi1", 2, [0, 1, 0]), ("phi2", 4, [0, 1, 0]),
+                         ("psi", 2, [1, 0, 0])):
+        save_mode_field(tmp_path / f"{name}.txt",
+                        plane_wave((ax, ax, ax), [k * np.pi, 0, 0], pol))
+        argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
+    assert_rejected(argv + [flag], flag_name(flag), tmp_path / "beta.csv",
+                    capsys, 1)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -550,3 +551,61 @@ def test_gaussian_transverse_profile_shape():
     edge = f.values[0, 4, 0, 0]
     assert abs(mid) > abs(edge)
     assert abs(mid) == pytest.approx(1.0)
+
+
+def _periodic_wave(pol):
+    ax = np.arange(20) / 20
+    return plane_wave((ax, ax, ax), 2 * np.pi * np.array([1.0, -2.0, 1.0]),
+                      pol, periodic=(True, True, True))
+
+
+def test_file_field_is_flagged_longitudinal_through_replace(tmp_path):
+    # 10 points per shortest wavelength: the discrete curl of this
+    # longitudinal wave is 0.026 of the derivative scale, so the default
+    # tolerance rejects it and a looser one, set through replace, accepts it
+    q_hat = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
+    save_mode_field(tmp_path / "psi.txt", _periodic_wave(q_hat))
+    psi = load_mode_field(tmp_path / "psi.txt", periodic=(True, True, True))
+    with pytest.raises(GridError, match="longitudinal"):
+        replace(psi, longitudinal=True)
+    assert replace(psi, longitudinal=True, curl_tol=0.05).longitudinal
+    transverse = _periodic_wave(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))
+    with pytest.raises(GridError, match="longitudinal"):
+        replace(transverse, longitudinal=True, curl_tol=0.05)
+
+
+def test_load_mode_field_takes_no_longitudinal_option(tmp_path):
+    save_mode_field(tmp_path / "f.txt", plane_wave(open_box(4), [0.4, 0, 0],
+                                                   [1, 0, 0]))
+    with pytest.raises(TypeError, match="longitudinal"):
+        load_mode_field(tmp_path / "f.txt", longitudinal=True)
+
+
+OPTICAL = {"omega_c1": 3.0, "omega_c2": 4.0, "eps1": 1.5, "eps2": 2.5}
+
+
+@pytest.mark.parametrize("name", sorted(OPTICAL))
+@pytest.mark.parametrize("value", [-3.0, 0.0, float("nan"), float("inf")])
+def test_couplings_reject_degenerate_optical_constants(name, value):
+    f = plane_wave(open_box(6), [0.4, 0, 0], [1, 0, 0])
+    bad = {**OPTICAL, name: value}
+    with pytest.raises(ParameterError, match=f"{name} must be finite and positive"):
+        beta_acoustic(f, f, f, gamma_e=1.0, **bad)
+    with pytest.raises(ParameterError, match=f"{name} must be finite and positive"):
+        beta_raman(brillouin_raman_tensor(1.0, [0.4, 0, 0]), f, f, f, **bad)
+
+
+@pytest.mark.parametrize("name", ["rho0", "omega_m", "hbar"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+def test_normalize_mode_rejects_degenerate_constants(name, value):
+    f = plane_wave(open_box(6), [0.4, 0, 0], [1, 0, 0])
+    bad = {"rho0": 1.0, "omega_m": 1.0, "hbar": 1.0, name: value}
+    with pytest.raises(ParameterError, match=f"{name} must be finite and positive"):
+        normalize_mode(f, **bad)
+
+
+def test_optical_constants_are_checked_before_the_grid():
+    # mismatched grids would raise GridError; the constants are checked first
+    f, g = (plane_wave(open_box(n), [0.4, 0, 0], [1, 0, 0]) for n in (6, 7))
+    with pytest.raises(ParameterError, match="eps1"):
+        beta_acoustic(f, g, f, gamma_e=1.0, **{**OPTICAL, "eps1": 0.0})

@@ -248,3 +248,26 @@ def test_collective_rates_degenerate_reported():
     s_swapped = abs(plus @ modes.vec_minus) + abs(minus @ modes.vec_plus)
     if modes.labeling == "collective":
         assert s_direct > s_swapped
+
+
+@pytest.mark.parametrize("t_end, dt, name", [
+    (float("inf"), 0.01, "t_end"),
+    (float("nan"), 0.01, "t_end"),
+    (-0.006, 0.01, "t_end"),  # rounded to -1 steps
+    (-1.0, 0.01, "t_end"),
+    (-0.004, 0.01, "t_end"),  # rounded to zero steps
+    (1.0, float("inf"), "dt"),  # inf * zero rates would pass the guard
+    (1.0, float("nan"), "dt"),
+])
+def test_non_finite_or_negative_times_are_rejected(t_end, dt, name):
+    p = ThreeWaveParams(kappa1=0.0, kappa2=0.0, Gamma=0.0)
+    with pytest.raises(IntegrationError, match=name):
+        evolve_three_wave(p, ThreeWaveState(a1=0, a2=0, u=0),
+                          t_end=t_end, dt=dt)
+
+
+def test_zero_t_end_gives_the_initial_state():
+    p = ThreeWaveParams(kappa1=0.3, kappa2=1.0, Gamma=0.1)
+    traj = evolve_three_wave(p, ThreeWaveState(a1=1, a2=0, u=0),
+                             t_end=0.0, dt=0.01)
+    assert len(traj) == 1 and traj.a1[0] == 1

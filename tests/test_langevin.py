@@ -443,3 +443,14 @@ def test_periodogram_interpolates_requested_grid():
     assert np.array_equal(w.omegas, grid)
     assert w.curve(1).kind == "phonon1"
     assert w.s1.shape == grid.shape
+
+
+@pytest.mark.parametrize("name", ["t_end", "dt", "burn_in"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("run", [simulate_ensemble, periodogram])
+def test_non_finite_times_are_rejected_by_name(run, value, name):
+    times = {"t_end": 1200.0, "dt": 0.5, "burn_in": 100.0, name: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any warning
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            run(OU, n_traj=2, seed=0, **times)

@@ -2,7 +2,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -376,3 +377,34 @@ def test_save_curve_csv_and_sidecar(tmp_path):
     assert meta["normalized"] is True
     assert meta["note"] == "test"
     assert meta["grid"]["count"] == 11
+
+
+DISTINCT = SystemParams(kappa2=1.5, delta=0.25, omega=0.125, gamma1=0.01,
+                        gamma2=0.02, g1=0.3 + 0.1j, g2=0.5 - 0.2j, nbar1=7.0,
+                        nbar2=9.0)
+
+
+def test_params_dict_has_exactly_the_fields():
+    assert list(spectra.params_dict(DISTINCT)) == [
+        f.name for f in fields(SystemParams)]
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SystemParams)])
+def test_params_dict_holds_each_field(name):
+    value = getattr(DISTINCT, name)
+    expect = [value.real, value.imag] if isinstance(value, complex) else value
+    assert spectra.params_dict(DISTINCT)[name] == expect
+
+
+@pytest.mark.parametrize("curve", [
+    lambda p, w: phonon_spectrum(p, 1, w),
+    lambda p, w: phonon_spectrum(p, 2, w),
+    antistokes_spectrum])
+def test_pole_is_reported_before_the_grid_span_warning(curve):
+    # zero widths, a grid that hits both poles and spans neither resonance
+    p = replace(FIG2, gamma1=0.0, gamma2=0.0, g2=0.0)
+    w = np.array([-0.1, 0.0, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularityError, match="pole hit"):
+            curve(p, w)
