@@ -401,10 +401,21 @@ def test_params_dict_holds_each_field(name):
     lambda p, w: phonon_spectrum(p, 2, w),
     antistokes_spectrum])
 def test_pole_is_reported_before_the_grid_span_warning(curve):
-    # zero widths, a grid that hits both poles and spans neither resonance
-    p = replace(FIG2, gamma1=0.0, gamma2=0.0, g2=0.0)
-    w = np.array([-0.1, 0.0, 0.1])
+    # zero width, a grid that hits the pole and does not span the resonances
+    p = replace(FIG2, gamma1=0.0)
+    w = np.array([0.0, FIG2.omega])  # reaches the pole at +Omega only
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularityError, match="pole hit"):
             curve(p, w)
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_adiabatic_estimate_reads_the_cavity_at_the_mode_resonance(mode):
+    # detuned cavity: the two resonances +-Omega sit at different distances
+    # from delta, so reading the wrong one is off by ~6 %
+    p = SystemParams(kappa2=1.0, delta=0.3, omega=0.2, gamma1=0.001,
+                     gamma2=0.001, g1=0.02 * (mode == 1),
+                     g2=0.02 * (mode == 2), nbar1=100.0)
+    assert cooling_ratio_adiabatic(p, mode) == pytest.approx(
+        cooling_ratio(p, mode), rel=1e-3)
