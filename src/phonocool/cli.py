@@ -16,7 +16,7 @@ import argparse
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -103,17 +103,12 @@ def _expand_config(argv: list[str]) -> list[str]:
         return out
     flags: list[str] = []
     for key, value in _load_config(cfg_path).items():
-        flag = "--" + str(key).replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                flags.append(flag)
-        elif isinstance(value, str) and value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                flags.append(flag)
-        elif value is None:
+        # a switch is true or false, as a JSON boolean or as text
+        switch = str(value).lower()
+        if value is None or switch == "false":
             continue
-        else:
-            flags.append(f"{flag}={value}")
+        flag = "--" + str(key).replace("_", "-")
+        flags.append(flag if switch == "true" else f"{flag}={value}")
     j = _command_at(out)
     return out[:j + 1] + flags + out[j + 1:]
 
@@ -127,9 +122,10 @@ def _expand_config(argv: list[str]) -> list[str]:
 _SWEEP_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "kappa2")
 
 
-def _build_params(args) -> SystemParams:
-    return validate(SystemParams(
-        kappa2=1.0, **{name: getattr(args, name) for name in _SWEEP_FIELDS}))
+def _build_params(args, **axis) -> SystemParams:
+    """The validated system of the flags, the fields in `axis` overridden."""
+    flags = {name: getattr(args, name) for name in _SWEEP_FIELDS}
+    return validate(SystemParams(kappa2=1.0, **{**flags, **axis}))
 
 
 def _dest(option: str, kwargs: dict) -> str:
@@ -203,55 +199,31 @@ def cmd_simulate(args) -> None:
     stats = simulate_ensemble(params, n_traj=args.n_traj, t_end=args.t_end,
                               dt=args.dt, burn_in=args.burn_in,
                               seed=args.seed, dump_dir=args.dump_dir)
-    text = stats.to_json()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        _write_json(args.output, asdict(stats))
         _write_sidecar(args)
         print(f"wrote {args.output}")
     else:
-        print(text)
-
-
-def _metric_fn(spec: str):
-    name, _, mode_text = spec.partition(":")
-    try:
-        mode = int(mode_text) if mode_text else 1
-    except ValueError as exc:
-        raise CliError(f"bad metric mode in {spec!r}") from exc
-    if mode not in (1, 2):
-        raise CliError(f"metric mode must be 1 or 2 in {spec!r}")
-    if name == "cooling-ratio":
-        return (lambda p: spectra.cooling_ratio(p, mode),
-                f"cooling_ratio_mode{mode} (dimensionless)")
-    if name == "occupancy":
-        return (lambda p: spectra.occupancy(p, mode),
-                f"occupancy_mode{mode} (dimensionless)")
-    raise CliError(f"unknown metric {name!r}; use cooling-ratio or occupancy")
+        print(stats.to_json())
 
 
 def cmd_sweep(args) -> None:
-    if args.axis not in _SWEEP_FIELDS:
-        raise CliError(f"sweep axis must be one of {', '.join(_SWEEP_FIELDS)}")
     if args.count < 2:
         raise CliError("sweep needs --count of at least 2")
-    params = _build_params(args)
+    _build_params(args)
     if args.scale == "log":
         if args.start <= 0 or args.stop <= 0:
             raise CliError("log scale needs positive --from/--to")
         values = np.geomspace(args.start, args.stop, args.count)
     else:
         values = np.linspace(args.start, args.stop, args.count)
-    fn, metric_label = _metric_fn(args.metric)
-
-    def point(v: float) -> float:
-        p = replace(params, **{args.axis: v})
-        return fn(validate(p))
-
-    results = np.array([point(v) for v in values])
-    _write_columns(args.output,
-                   f"columns: {args.axis} [kappa2 units], {metric_label}",
+    name, _, mode = args.metric.partition(":")
+    name, mode = name.replace("-", "_"), int(mode or 1)
+    metric = getattr(spectra, name)  # looked up now: rebinding is seen
+    results = np.array([metric(_build_params(args, **{args.axis: v}), mode)
+                        for v in values])
+    _write_columns(args.output, f"columns: {args.axis} [kappa2 units], "
+                                f"{name}_mode{mode} (dimensionless)",
                    [values, results])
     _write_sidecar(args)
     print(f"wrote {args.output}")
@@ -367,13 +339,15 @@ COMMANDS = {
         ("--output", dict(help="stats JSON path"))]),
     "sweep": (cmd_sweep, "sweep one parameter, tabulate a metric", [
         *_SYSTEM,
-        ("--axis", dict(required=True, help=f"one of {', '.join(_SWEEP_FIELDS)}")),
+        ("--axis", dict(required=True, choices=_SWEEP_FIELDS)),
         ("--from", dict(dest="start", type=float, required=True)),
         ("--to", dict(dest="stop", type=float, required=True)),
         ("--count", dict(type=int, required=True)),
         ("--scale", dict(choices=("linear", "log"), default="linear")),
-        ("--metric", dict(default="cooling-ratio:1",
-                          help="cooling-ratio:MODE or occupancy:MODE")),
+        ("--metric", dict(default="cooling-ratio:1", help="MODE is 1 if omitted",
+                          choices=[f"{name}{mode}"
+                                   for name in ("cooling-ratio", "occupancy")
+                                   for mode in ("", ":1", ":2")])),
         *_OUTPUT]),
     "collective": (cmd_collective, "super/sub-radiant mode rates",
                    [*_SYSTEM, ("--output", dict(help="JSON output path"))]),
@@ -494,6 +468,9 @@ def _dispatch(parse) -> int:
     """Run the command of the namespace that `parse()` returns."""
     try:
         args = parse()
+        if args.kappa2_hz is not None and not 0 < args.kappa2_hz < np.inf:
+            raise CliError("kappa2-hz must be finite and positive, "
+                           f"got {args.kappa2_hz!r}")
         COMMANDS[args.command][0](args)
         return 0
     except (SingularityError, CovarianceError,

@@ -28,6 +28,12 @@ def _require_finite(name: str, value) -> None:
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
+def _require_finite_fields(obj) -> None:
+    """Reject a dataclass instance with a field that is not finite."""
+    for f in fields(obj):
+        _require_finite(f.name, getattr(obj, f.name))
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Parameters of the two-phonon + cavity linear system.
@@ -67,8 +73,7 @@ def validate(params: SystemParams) -> SystemParams:
     idempotent and every downstream operation calls it, so an invalid
     parameter set cannot propagate into the numerics.
     """
-    for f in fields(params):
-        _require_finite(f.name, getattr(params, f.name))
+    _require_finite_fields(params)
     if not params.kappa2 > 0:
         raise ParameterError("kappa2 must be positive")
     _require_nonnegative(params, "gamma1", "gamma2", "nbar1", "nbar2")
@@ -90,15 +95,10 @@ class PhononModeSpec:
     occupancy: float
 
     def __post_init__(self):
-        _require_finite("center_frequency", self.center_frequency)
-        _require_finite("half_width", self.half_width)
-        _require_finite("occupancy", self.occupancy)
+        _require_finite_fields(self)
         if not self.center_frequency > 0:
             raise ParameterError("center_frequency must be positive")
-        if self.half_width < 0:
-            raise ParameterError("half_width must be nonnegative")
-        if self.occupancy < 0:
-            raise ParameterError("occupancy must be nonnegative")
+        _require_nonnegative(self, "half_width", "occupancy")
 
 
 def system_from_modes(mode1: PhononModeSpec, mode2: PhononModeSpec,
@@ -150,8 +150,7 @@ def validate_three_wave(params: ThreeWaveParams) -> ThreeWaveParams:
     Zero optical widths are allowed so the lossless (Manley-Rowe) regime
     is representable.
     """
-    for f in fields(params):
-        _require_finite(f.name, getattr(params, f.name))
+    _require_finite_fields(params)
     _require_nonnegative(params, "kappa1", "kappa2", "Gamma")
     return params
 
@@ -166,8 +165,7 @@ class ThreeWaveState:
     t: float = 0.0
 
     def __post_init__(self):
-        for name in ("a1", "a2", "u", "t"):
-            _require_finite(name, getattr(self, name))
+        _require_finite_fields(self)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +173,11 @@ class ThreeWaveState:
 
 
 def _write_json(path, obj) -> None:
-    """Write obj as JSON with indent 2, sorted keys and a final newline."""
+    """Write obj as standard JSON (no NaN or Infinity) with indent 2,
+    sorted keys and a final newline; nothing is written if obj cannot be."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # columnar text files

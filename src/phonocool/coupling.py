@@ -9,12 +9,14 @@ rectangle sum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .core import ParameterError, _open_text, _write_columns
+from .core import (ParameterError, _open_text, _require_finite,
+                   _require_finite_fields, _write_columns)
 
 
 class GridError(ValueError):
@@ -246,10 +248,29 @@ def _require_positive(**values: float) -> None:
                 f"{name} must be finite and positive, got {value!r}")
 
 
+def _require_derived(what: str, compute, **constants: float):
+    """compute(), a quantity derived from `constants`, each of which must
+    be finite and positive, and which must itself come out so; an overflow,
+    underflow or division by zero in it fails the check, with no exception
+    or warning of its own."""
+    _require_positive(**constants)
+    with np.errstate(all="ignore"):
+        try:
+            value = compute()
+        except ArithmeticError:
+            value = math.nan
+    if not 0 < value < math.inf:
+        named = ", ".join(f"{k}={v!r}" for k, v in constants.items())
+        raise ParameterError(f"{what} is not finite and positive for {named}")
+    return value
+
+
 def _optical_prefactor(omega_c1, omega_c2, eps1, eps2) -> float:
     """sqrt(w_c2 w_c1 / (eps2 eps1)), the optical factor of both couplings."""
-    _require_positive(omega_c1=omega_c1, omega_c2=omega_c2, eps1=eps1, eps2=eps2)
-    return np.sqrt(omega_c2 * omega_c1 / (eps2 * eps1))
+    return _require_derived(
+        "optical prefactor sqrt(omega_c2 omega_c1 / (eps2 eps1))",
+        lambda: np.sqrt(omega_c2 * omega_c1 / (eps2 * eps1)),
+        omega_c1=omega_c1, omega_c2=omega_c2, eps1=eps1, eps2=eps2)
 
 
 def beta_acoustic(phi2: ModeField, phi1: ModeField, psi: ModeField,
@@ -262,6 +283,7 @@ def beta_acoustic(phi2: ModeField, phi1: ModeField, psi: ModeField,
     uses the centered second-order stencil, so the result converges as h^2
     on smooth fields.
     """
+    _require_finite("gamma_e", gamma_e)
     pref = 0.5 * gamma_e * _optical_prefactor(omega_c1, omega_c2, eps1, eps2)
     _require_common_grid(phi2, phi1, psi)
     _require_resolved(psi)
@@ -327,7 +349,9 @@ def normalize_mode(psi: ModeField, rho0: float, omega_m: float,
                    hbar: float) -> ModeField:
     """Rescale a phonon mode so its kinetic-energy norm equals half a quantum:
     rho0 omega_m^2 int |psi|^2 d^3r = hbar omega_m / 2."""
-    _require_positive(rho0=rho0, omega_m=omega_m, hbar=hbar)
+    _require_derived("normalization scale hbar omega_m / (2 rho0 omega_m^2)",
+                     lambda: hbar * omega_m / 2.0 / (rho0 * omega_m**2),
+                     rho0=rho0, omega_m=omega_m, hbar=hbar)
     norm2 = integrate(psi, np.einsum("xyzc,xyzc->xyz",
                                      np.conj(psi.values), psi.values)).real
     if norm2 <= 0.0:
@@ -348,6 +372,7 @@ class BrillouinLinear:
     v_s: float
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if not self.v_s > 0:
             raise ParameterError("v_s must be positive")
 
@@ -360,6 +385,7 @@ class BulkOptical:
     alpha: float
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.omega0 < 0:
             raise ParameterError("omega0 must be nonnegative")
 
@@ -372,8 +398,12 @@ class ConfinedFiber:
     alpha: float
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.omega0 < 0:
             raise ParameterError("omega0 must be nonnegative")
+        if self.alpha < 0:
+            raise ParameterError("alpha must be nonnegative; a branch whose "
+                                 "Omega^2 falls with q is BulkOptical")
 
 
 DispersionRelation = Union[BrillouinLinear, BulkOptical, ConfinedFiber]

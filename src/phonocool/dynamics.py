@@ -225,41 +225,32 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v / ph
 
 
-def collective_rates(params: SystemParams, tol: float = 1e-9) -> CollectiveModes:
+_TIE_TOL = 1e-9  # relative: below it, couplings vanish and values tie
+
+
+def collective_rates(params: SystemParams) -> CollectiveModes:
     """Diagonalize the adiabatically reduced drift and identify the
     super-radiant (+) and sub-radiant (-) collective modes."""
-    red = adiabatic_reduce(params)
-    m = red.matrix
+    m = adiabatic_reduce(params).matrix
     scale = max(np.abs(m).max(), 1e-300)
-
-    if max(abs(m[0, 1]), abs(m[1, 0])) <= tol * scale:
+    ip, im_ = 0, 1
+    if max(abs(m[0, 1]), abs(m[1, 0])) <= _TIE_TOL * scale:
         # no cavity-mediated coupling: report in the bare (b1, b2) basis
-        return CollectiveModes(
-            rate_plus=-m[0, 0], rate_minus=-m[1, 1],
-            vec_plus=np.array([1.0, 0.0], dtype=complex),
-            vec_minus=np.array([0.0, 1.0], dtype=complex),
-            labeling="decoupled")
-
-    w, v = np.linalg.eig(m)
-    vecs = [_fix_phase(v[:, 0]), _fix_phase(v[:, 1])]
-    if abs(w[0] - w[1]) <= tol * scale:
-        return CollectiveModes(
-            rate_plus=-w[0], rate_minus=-w[1],
-            vec_plus=vecs[0], vec_minus=vecs[1],
-            labeling="degenerate")
-
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    # score both assignments by total overlap with (b1 +- b2)/sqrt(2)
-    s01 = abs(plus @ vecs[0]) + abs(minus @ vecs[1])
-    s10 = abs(plus @ vecs[1]) + abs(minus @ vecs[0])
-    if abs(s01 - s10) <= tol:
-        return CollectiveModes(
-            rate_plus=-w[0], rate_minus=-w[1],
-            vec_plus=vecs[0], vec_minus=vecs[1],
-            labeling="degenerate")
-    ip, im_ = (0, 1) if s01 > s10 else (1, 0)
+        w, vecs, labeling = np.diag(m), np.eye(2, dtype=complex), "decoupled"
+    else:
+        w, v = np.linalg.eig(m)
+        vecs = [_fix_phase(v[:, 0]), _fix_phase(v[:, 1])]
+        # score both assignments by total overlap with (b1 +- b2)/sqrt(2)
+        plus, minus = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        s01 = abs(plus @ vecs[0]) + abs(minus @ vecs[1])
+        s10 = abs(plus @ vecs[1]) + abs(minus @ vecs[0])
+        if (abs(w[0] - w[1]) <= _TIE_TOL * scale
+                or abs(s01 - s10) <= _TIE_TOL):
+            labeling = "degenerate"
+        else:
+            labeling = "collective"
+            ip, im_ = (0, 1) if s01 > s10 else (1, 0)
     return CollectiveModes(
         rate_plus=-w[ip], rate_minus=-w[im_],
         vec_plus=vecs[ip], vec_minus=vecs[im_],
-        labeling="collective")
+        labeling=labeling)

@@ -58,10 +58,7 @@ class EnsembleStats:
             raise ValueError("n_traj must be at least 2")
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["occupancy_mean"] = list(d["occupancy_mean"])
-        d["occupancy_stderr"] = list(d["occupancy_stderr"])
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EnsembleStats":

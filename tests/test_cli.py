@@ -4,9 +4,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from phonocool import (SystemParams, cooling_ratio, phonon_spectrum, plane_wave,
-                       save_mode_field)
+from phonocool import (SystemParams, cooling_ratio, occupancy, phonon_spectrum,
+                       plane_wave, save_mode_field)
 from phonocool.cli import COMMANDS, CliError, RunConfig, main, run
+from phonocool.core import _write_json
 
 
 def invoke(argv, capsys=None):
@@ -466,3 +467,174 @@ def test_coupling_rejects_degenerate_constants(flag, tmp_path, capsys):
         argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
     assert_rejected(argv + [flag], flag_name(flag), tmp_path / "beta.csv",
                     capsys, 1)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gamma-e=nan"], ["--gamma-e=inf"], ["--gamma-e=-inf"],
+    ["--eps1=1e-200", "--eps2=1e-200"],
+    ["--omega-c1=1e200", "--omega-c2=1e200"],
+    ["--omega-m=1e200"], ["--rho0=1e-320"]],
+    ids=["gamma_e-nan", "gamma_e-inf", "gamma_e-minus-inf", "eps-underflow",
+         "omega-overflow", "omega_m-overflow", "rho0-tiny"])
+def test_coupling_rejects_constants_that_do_not_combine(flags, tmp_path, capsys):
+    ax = np.arange(8) / 8
+    argv = ["coupling", "--gamma-e", "2.0", "--omega-c1", "3.0",
+            "--omega-c2", "4.0", "--periodic-x", "--periodic-y",
+            "--periodic-z", "--normalize"]
+    for name, k, pol in (("phi1", 2, [0, 1, 0]), ("phi2", 4, [0, 1, 0]),
+                         ("psi", 2, [1, 0, 0])):
+        save_mode_field(tmp_path / f"{name}.txt",
+                        plane_wave((ax, ax, ax), [k * np.pi, 0, 0], pol))
+        argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
+    assert_rejected(argv + flags, flag_name(flags[0]), tmp_path / "beta.csv",
+                    capsys, 1)
+
+
+# ---------------------------------------------------------------------------
+# --kappa2-hz is a physical scale: finite and positive in every command
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-3", "0"])
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP))
+def test_kappa2_hz_must_be_finite_and_positive(command, value, tmp_path,
+                                                capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *ROUND_TRIP[command][0], f"--kappa2-hz={value}"]
+    assert_rejected(argv, "kappa2-hz", tmp_path / "out", capsys, 1)
+    assert list(tmp_path.iterdir()) == []  # no dump directory either
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -3.0, 0])
+def test_run_config_rejects_a_bad_kappa2_hz(value, tmp_path, capsys):
+    out = tmp_path / "cr.csv"
+    code = run(RunConfig("cooling-ratio", {"gamma1": 0.01, "gamma2": 0.01,
+                                           "kappa2_hz": value,
+                                           "output": str(out)}))
+    assert code == 1
+    assert "kappa2-hz must be finite and positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore:burn_in:UserWarning")
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP))
+def test_every_sidecar_is_standard_json(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if command == "coupling":
+        ax = np.linspace(0.0, 1.0, 12)
+        for name, k, pol in (("phi1", [0.7, 0, 0], [0, 1, 0]),
+                             ("phi2", [0.8, 0, 0], [0, 1, 0]),
+                             ("psi", [0.1, 0, 0], [1, 0, 0])):
+            save_mode_field(f"{name}.txt", plane_wave((ax, ax, ax), k, pol))
+    assert invoke([command, *ROUND_TRIP[command][0], "--output", "out"]) == 0
+    json.loads((tmp_path / "out.meta.json").read_text(),
+               parse_constant=_reject_constant)
+    if command in ("simulate", "collective"):  # the output is JSON too
+        json.loads((tmp_path / "out").read_text(),
+                   parse_constant=_reject_constant)
+
+
+def test_write_json_refuses_a_non_standard_constant(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        _write_json(path, {"kappa2_hz": float("nan")})
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# sweep: one system builder, axis and metric rules in the command table
+
+SWEEP_SYSTEM = ["--g1", "0.3", "--g2", "0.5", "--gamma1", "0.01",
+                "--gamma2", "0.01", "--omega", "0.1"]
+
+
+def test_sweep_nbar1_moves_nbar2_unless_given(tmp_path):
+    fig = SystemParams(kappa2=1.0, omega=0.1, gamma1=0.01, gamma2=0.01,
+                       g1=0.3, g2=0.5)
+    for extra, nbar2 in (([], None), (["--nbar2", "50"], 50.0)):
+        out = tmp_path / "sweep.csv"
+        assert invoke(["sweep", *SWEEP_SYSTEM, *extra, "--axis", "nbar1",
+                       "--from", "10", "--to", "100", "--count", "4",
+                       "--metric", "occupancy:1", "--output", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",")
+        want = [occupancy(replace(fig, nbar1=v, nbar2=v if nbar2 is None
+                                  else nbar2), 1) for v in data[:, 0]]
+        assert np.array_equal(data[:, 1], want)
+    # nbar2 follows nbar1 = 100, as --nbar2's help says, not its 1.0 default
+    out = tmp_path / "sweep.csv"
+    assert invoke(["sweep", *SWEEP_SYSTEM, "--axis", "nbar1", "--from", "10",
+                   "--to", "100", "--count", "4", "--metric", "occupancy:1",
+                   "--output", str(out)]) == 0
+    assert np.loadtxt(out, delimiter=",")[-1, 1] == pytest.approx(28.849,
+                                                                  abs=1e-3)
+
+
+def test_sweep_bare_metric_name_means_mode_one(tmp_path):
+    text = {}
+    for metric in ("cooling-ratio", "cooling-ratio:1"):
+        out = tmp_path / f"{metric.replace(':', '_')}.csv"
+        assert invoke(["sweep", *SWEEP_SYSTEM, "--nbar1", "100", "--axis", "g2",
+                       "--from", "0", "--to", "0.6", "--count", "4",
+                       "--metric", metric, "--output", str(out)]) == 0
+        text[metric] = out.read_text()
+    assert text["cooling-ratio"] == text["cooling-ratio:1"]
+    assert "cooling_ratio_mode1 (dimensionless)" in text["cooling-ratio"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("metric", "occupancy:3"), ("metric", "entropy:1"), ("axis", "kappa2"),
+    # spellings int() once accepted for the mode
+    ("metric", "occupancy:01"), ("metric", "occupancy: 2"),
+    ("metric", "occupancy:")])
+def test_sweep_rejects_metric_and_axis_before_output(key, value, tmp_path,
+                                                     capsys):
+    out = tmp_path / "sweep.csv"
+    assert invoke(["sweep", *SWEEP_SYSTEM, "--axis", "g2", "--from", "0.1",
+                   "--to", "0.6", "--count", "3", f"--{key}={value}",
+                   "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert list(tmp_path.iterdir()) == []
+    # the same value through run(RunConfig)
+    assert run(RunConfig("sweep", {**SWEEP, key: value,
+                                   "output": str(out)})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# --config: the = form, switches as JSON booleans or text, JSON null
+
+
+def test_config_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("g1 = 0.3\ngamma1 = 0.01\ngamma2 = 0.01\nomega = 0.1\n"
+                   "nbar1 = 100\n")
+    code, cap = invoke(["cooling-ratio", f"--config={cfg}"], capsys)
+    assert code == 0
+    assert "R=0.110" in cap.out
+
+
+@pytest.mark.parametrize("text, normalized", [
+    ('{"config": {"normalized": true, "nbar2": null}}', True),
+    ('{"config": {"normalized": false, "nbar2": null}}', False),
+    ('{"normalized": "True"}', True),
+    ('{"normalized": "false"}', False),
+    ("normalized = true\n", True),
+    ("normalized = FALSE\n", False)],
+    ids=["json-true", "json-false", "json-text-true", "json-text-false",
+         "text-true", "text-false"])
+def test_config_switch_values(text, normalized, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "s.csv"
+    assert invoke(["spectrum", "--config", str(cfg), "--gamma1", "0.01",
+                   "--gamma2", "0.01", "--nbar1", "2", "--count", "5",
+                   "--output", str(out)]) == 0
+    config = json.loads((tmp_path / "s.csv.meta.json").read_text())["config"]
+    assert config["normalized"] is normalized
+    assert "nbar2" not in config  # null leaves the flag unset

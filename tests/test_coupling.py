@@ -498,6 +498,32 @@ def test_dispersion_rejects_negative_q():
         dispersion(BrillouinLinear(v_s=1.0), -1.0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda x: BrillouinLinear(v_s=x), "v_s"),
+    (lambda x: BulkOptical(omega0=x, alpha=1.0), "omega0"),
+    (lambda x: BulkOptical(omega0=1.0, alpha=x), "alpha"),
+    (lambda x: ConfinedFiber(omega0=x, alpha=1.0), "omega0"),
+    (lambda x: ConfinedFiber(omega0=1.0, alpha=x), "alpha")],
+    ids=["brillouin-v_s", "bulk-omega0", "bulk-alpha", "fiber-omega0",
+         "fiber-alpha"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dispersion_relations_reject_non_finite_parameters(make, name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        make(value)
+
+
+def test_confined_fiber_rejects_negative_alpha():
+    # Omega^2 = omega0^2 + alpha q^2 would turn negative at large q
+    with pytest.raises(ParameterError, match="alpha must be nonnegative.*BulkOptical"):
+        ConfinedFiber(omega0=1.0, alpha=-1.0)
+
+
+def test_confined_fiber_without_cutoff_is_valid_at_the_origin():
+    rel = ConfinedFiber(omega0=0.0, alpha=2.0)
+    assert dispersion(rel, 0.0) == 0.0
+    assert dispersion(rel, 3.0) == pytest.approx(3.0 * np.sqrt(2.0))
+
+
 def test_bimodal_window_cases():
     mhz = 2 * np.pi * 1e6
     assert bimodal_window(95 * mhz, 96 * mhz, 5 * mhz) is True
@@ -541,6 +567,25 @@ def test_mode_field_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("4 4\n")
     with pytest.raises(GridError, match="header"):
+        load_mode_field(path)
+
+
+def test_mode_field_load_rejects_wrong_row_count(tmp_path):
+    path = tmp_path / "short.txt"
+    save_mode_field(path, plane_wave(open_box(4), [0.4, 0, 0], [1, 0, 0]))
+    path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+    with pytest.raises(GridError, match="expected 64 rows of 9 columns"):
+        load_mode_field(path)
+
+
+def test_mode_field_load_rejects_non_rectilinear_coordinates(tmp_path):
+    path = tmp_path / "skew.txt"
+    save_mode_field(path, plane_wave(open_box(4), [0.4, 0, 0], [1, 0, 0]))
+    lines = path.read_text().splitlines(True)
+    row = lines[6].split(" ")  # grid point (0, 1, 1): x must be 0 there
+    lines[6] = " ".join(["0.25"] + row[1:])
+    path.write_text("".join(lines))
+    with pytest.raises(GridError, match="not a rectilinear grid"):
         load_mode_field(path)
 
 
@@ -609,3 +654,46 @@ def test_optical_constants_are_checked_before_the_grid():
     f, g = (plane_wave(open_box(n), [0.4, 0, 0], [1, 0, 0]) for n in (6, 7))
     with pytest.raises(ParameterError, match="eps1"):
         beta_acoustic(f, g, f, gamma_e=1.0, **{**OPTICAL, "eps1": 0.0})
+
+
+@pytest.mark.parametrize("gamma_e", [np.nan, np.inf, -np.inf])
+def test_beta_acoustic_rejects_non_finite_gamma_e(gamma_e):
+    # mismatched grids: the constant is checked before the grid
+    f, g = (plane_wave(open_box(n), [0.4, 0, 0], [1, 0, 0]) for n in (6, 7))
+    with pytest.raises(ParameterError, match="gamma_e must be finite"):
+        beta_acoustic(f, g, f, gamma_e=gamma_e, **OPTICAL)
+
+
+# each constant is finite and positive, but their combination is not
+@pytest.mark.parametrize("bad", [
+    {"eps1": 1e-200, "eps2": 1e-200},  # eps2 eps1 underflows to zero
+    {"omega_c1": 1e200, "omega_c2": 1e200},  # the ratio overflows
+    {"omega_c1": 1e-200, "omega_c2": 1e-200},  # the ratio underflows
+    {"eps1": np.float64(1e-200), "eps2": np.float64(1e-200)},
+    {"omega_c1": np.float64(1e200), "omega_c2": np.float64(1e200)}],
+    ids=["eps-underflow", "omega-overflow", "omega-underflow",
+         "eps-underflow-numpy", "omega-overflow-numpy"])
+def test_couplings_reject_an_optical_prefactor_out_of_range(bad):
+    f, g = (plane_wave(open_box(n), [0.4, 0, 0], [1, 0, 0]) for n in (6, 7))
+    match = ("optical prefactor .* not finite and positive for "
+             "omega_c1=.*, omega_c2=.*, eps1=.*, eps2=")
+    with pytest.raises(ParameterError, match=match):
+        beta_acoustic(f, g, f, gamma_e=1.0, **{**OPTICAL, **bad})
+    with pytest.raises(ParameterError, match=match):
+        beta_raman(brillouin_raman_tensor(1.0, [0.4, 0, 0]), f, g, f,
+                   **{**OPTICAL, **bad})
+
+
+@pytest.mark.parametrize("bad", [
+    {"omega_m": 1e200},  # omega_m^2 overflows
+    {"rho0": 1e-320},  # hbar / (2 rho0 omega_m) overflows
+    {"hbar": 1e-320, "rho0": 1e300},  # ... and underflows
+    {"omega_m": np.float64(1e200)}],
+    ids=["omega_m-overflow", "rho0-tiny", "scale-underflow",
+         "omega_m-overflow-numpy"])
+def test_normalize_mode_rejects_a_scale_out_of_range(bad):
+    # a zero field fails later, at the norm: the constants are checked first
+    f = ModeField(open_box(6), np.zeros((6, 6, 6, 3)))
+    with pytest.raises(ParameterError, match="normalization scale .* not "
+                       "finite and positive for rho0=.*, omega_m=.*, hbar="):
+        normalize_mode(f, **{"rho0": 1.0, "omega_m": 1.0, "hbar": 1.0, **bad})

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from phonocool import dynamics
+from phonocool.dynamics import AdiabaticReduction
 from phonocool import (
     IntegrationError,
     SystemParams,
@@ -248,6 +250,22 @@ def test_collective_rates_degenerate_reported():
     s_swapped = abs(plus @ modes.vec_minus) + abs(minus @ modes.vec_plus)
     if modes.labeling == "collective":
         assert s_direct > s_swapped
+
+
+@pytest.mark.parametrize("matrix", [
+    [[-1, 1], [0, -1]],  # eigenvalue tie (a defective drift)
+    [[-1, 0.5], [-0.5, -1]],  # eigenvectors score equally against b1 +- b2
+], ids=["eigenvalue-tie", "overlap-tie"])
+def test_collective_rates_labels_ties_degenerate(matrix, monkeypatch):
+    red = AdiabaticReduction(matrix=np.array(matrix, dtype=complex),
+                             gamma_eff=(0.0, 0.0), omega_shift=(0.0, 0.0),
+                             cross_coupling=0j, guard_ok=True)
+    monkeypatch.setattr(dynamics, "adiabatic_reduce", lambda params: red)
+    modes = collective_rates(FIG2)
+    assert modes.labeling == "degenerate"
+    # a tie keeps the eigensolver's order
+    w, _ = np.linalg.eig(red.matrix)
+    assert (modes.rate_plus, modes.rate_minus) == (-w[0], -w[1])
 
 
 @pytest.mark.parametrize("t_end, dt, name", [
