@@ -113,12 +113,14 @@ def _check_longitudinal(field_: ModeField) -> None:
     c = np.abs(curl(field_)).max()
     # scale against the overall derivative magnitude, all nine partials, so
     # a transverse field (curl ~ derivative scale) is rejected while
-    # finite-difference noise on a genuinely curl-free field passes
-    scale = max(np.abs(_partial(field_, i, j)).max()
-                for i in range(3) for j in range(3))
-    if scale == 0.0:
-        return
-    if c > field_.curl_tol * scale:
+    # finite-difference noise on a genuinely curl-free field passes; the
+    # running maximum, diagonal partials first, accepts as soon as it can
+    scale = 0.0
+    for i, j in sorted(np.ndindex(3, 3), key=lambda ij: ij[0] != ij[1]):
+        scale = max(scale, np.abs(_partial(field_, i, j)).max())
+        if c <= field_.curl_tol * scale:
+            return
+    if c > field_.curl_tol * scale:  # a NaN curl compares False both ways
         raise GridError(
             f"field flagged longitudinal but max|curl| = {c:.3e} exceeds "
             f"{field_.curl_tol:g} of the derivative scale {scale:.3e}")
@@ -140,6 +142,17 @@ def integrate(field_: ModeField, integrand: np.ndarray) -> complex:
     wx, wy, wz = (_quad_weights_1d(field_.axes[i], field_.periodic[i])
                   for i in range(3))
     return complex(np.einsum("xyz,x,y,z->", integrand, wx, wy, wz))
+
+
+_SLAB_CELLS = 1 << 14  # per slab of the overlap products: temporaries stay in cache
+
+
+def _slabs(field_: ModeField):
+    """Row slices of the values viewed as (cells, 3): whole x-planes, at
+    least one, of about _SLAB_CELLS cells each."""
+    plane = field_.shape[1] * field_.shape[2]
+    step = plane * max(1, _SLAB_CELLS // plane)
+    return (slice(a, a + step) for a in range(0, plane * field_.shape[0], step))
 
 
 def _require_common_grid(*fields: ModeField) -> None:
@@ -265,6 +278,14 @@ def _require_derived(what: str, compute, **constants: float):
     return value
 
 
+def _require_finite_coupling(beta: complex, **constants: float) -> complex:
+    if not np.isfinite(beta):
+        named = ", ".join(f"{k}={v!r}" for k, v in constants.items())
+        raise ParameterError(f"coupling is not finite for {named}: the "
+                             "fields or constants overflow")
+    return beta
+
+
 def _optical_prefactor(omega_c1, omega_c2, eps1, eps2) -> float:
     """sqrt(w_c2 w_c1 / (eps2 eps1)), the optical factor of both couplings."""
     return _require_derived(
@@ -273,6 +294,7 @@ def _optical_prefactor(omega_c1, omega_c2, eps1, eps2) -> float:
         omega_c1=omega_c1, omega_c2=omega_c2, eps1=eps1, eps2=eps2)
 
 
+@np.errstate(all="ignore")  # an overflow is rejected, not warned about
 def beta_acoustic(phi2: ModeField, phi1: ModeField, psi: ModeField,
                   gamma_e: float, omega_c1: float, omega_c2: float,
                   eps1: float, eps2: float) -> complex:
@@ -287,8 +309,13 @@ def beta_acoustic(phi2: ModeField, phi1: ModeField, psi: ModeField,
     pref = 0.5 * gamma_e * _optical_prefactor(omega_c1, omega_c2, eps1, eps2)
     _require_common_grid(phi2, phi1, psi)
     _require_resolved(psi)
-    overlap = np.einsum("xyzc,xyzc->xyz", np.conj(phi2.values), phi1.values)
-    return pref * integrate(psi, overlap * divergence(psi))
+    p2, p1 = phi2.values.reshape(-1, 3), phi1.values.reshape(-1, 3)
+    integrand = divergence(psi)
+    for s in _slabs(psi):
+        integrand.reshape(-1)[s] *= np.einsum("ci,ci->c", np.conj(p2[s]), p1[s])
+    return _require_finite_coupling(pref * integrate(psi, integrand), gamma_e=gamma_e,
+                                    omega_c1=omega_c1, omega_c2=omega_c2,
+                                    eps1=eps1, eps2=eps2)
 
 
 @dataclass(frozen=True)
@@ -316,6 +343,7 @@ def brillouin_raman_tensor(gamma_e: float, q_vec) -> RamanTensor:
     return RamanTensor(comps)
 
 
+@np.errstate(all="ignore")
 def beta_raman(R: RamanTensor, phi2: ModeField, phi1: ModeField,
                psi: ModeField, omega_c1: float, omega_c2: float,
                eps1: float, eps2: float) -> complex:
@@ -323,11 +351,14 @@ def beta_raman(R: RamanTensor, phi2: ModeField, phi1: ModeField,
     2 pi sqrt(w_c2 w_c1/(eps2 eps1)) sum_ijk R_ijk int phi2_i* phi1_j psi_k."""
     pref = 2 * np.pi * _optical_prefactor(omega_c1, omega_c2, eps1, eps2)
     _require_common_grid(phi2, phi1, psi)
-    integrand = np.zeros(psi.shape, dtype=complex)
-    for i in range(3):  # phi2_i* sum_jk R_ijk phi1_j psi_k
-        integrand += np.conj(phi2.values[..., i]) * np.einsum(
-            "xyzj,jk,xyzk->xyz", phi1.values, R.components[i], psi.values)
-    return pref * integrate(psi, integrand)
+    p2, p1, v = (f.values.reshape(-1, 3) for f in (phi2, phi1, psi))
+    r = R.components.reshape(9, 3).T  # psi_k -> sum_k R_ijk psi_k, ij flat
+    integrand = np.empty(psi.shape, dtype=complex)
+    for s in _slabs(psi):  # phi2_i* (sum_k R_ijk psi_k) phi1_j
+        t = np.einsum("ci,cij->cj", np.conj(p2[s]), (v[s] @ r).reshape(-1, 3, 3))
+        np.einsum("cj,cj->c", t, p1[s], out=integrand.reshape(-1)[s])
+    return _require_finite_coupling(pref * integrate(psi, integrand), omega_c1=omega_c1,
+                                    omega_c2=omega_c2, eps1=eps1, eps2=eps2)
 
 
 def bulk_raman_scalar(R: RamanTensor, e2, e1, eQ) -> complex:
@@ -352,8 +383,10 @@ def normalize_mode(psi: ModeField, rho0: float, omega_m: float,
     _require_derived("normalization scale hbar omega_m / (2 rho0 omega_m^2)",
                      lambda: hbar * omega_m / 2.0 / (rho0 * omega_m**2),
                      rho0=rho0, omega_m=omega_m, hbar=hbar)
-    norm2 = integrate(psi, np.einsum("xyzc,xyzc->xyz",
-                                     np.conj(psi.values), psi.values)).real
+    v, integrand = psi.values.reshape(-1, 3), np.empty(psi.shape, dtype=complex)
+    for s in _slabs(psi):
+        np.einsum("ci,ci->c", np.conj(v[s]), v[s], out=integrand.reshape(-1)[s])
+    norm2 = integrate(psi, integrand).real
     if norm2 <= 0.0:
         raise ParameterError("cannot normalize a zero-norm mode field")
     target = hbar * omega_m / 2.0

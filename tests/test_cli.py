@@ -473,9 +473,10 @@ def test_coupling_rejects_degenerate_constants(flag, tmp_path, capsys):
     ["--gamma-e=nan"], ["--gamma-e=inf"], ["--gamma-e=-inf"],
     ["--eps1=1e-200", "--eps2=1e-200"],
     ["--omega-c1=1e200", "--omega-c2=1e200"],
-    ["--omega-m=1e200"], ["--rho0=1e-320"]],
+    ["--omega-m=1e200"], ["--rho0=1e-320"],
+    ["--gamma-e=1e308", "--omega-c1=100", "--omega-c2=100"]],
     ids=["gamma_e-nan", "gamma_e-inf", "gamma_e-minus-inf", "eps-underflow",
-         "omega-overflow", "omega_m-overflow", "rho0-tiny"])
+         "omega-overflow", "omega_m-overflow", "rho0-tiny", "coupling-overflow"])
 def test_coupling_rejects_constants_that_do_not_combine(flags, tmp_path, capsys):
     ax = np.arange(8) / 8
     argv = ["coupling", "--gamma-e", "2.0", "--omega-c1", "3.0",

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from phonocool import (
     save_mode_field,
 )
 from phonocool import coupling
+from _longitudinal_reference import check_longitudinal, curl_and_scale
 
 GAMMA_E = 2.0
 OMEGA_C1, OMEGA_C2 = 3.0, 4.0
@@ -231,6 +233,61 @@ def test_longitudinal_check_allocates_no_jacobian():
     assert peak < 3 * f.values.nbytes
 
 
+def _decision(check, field_):
+    """None if check accepts field_, else the message it rejects it with."""
+    try:
+        check(field_)
+    except GridError as exc:
+        return str(exc)
+    return None
+
+
+def _curl_check_fields():
+    rng = np.random.default_rng(5)
+    for periodic, axes in ((False, open_box(9)), (True, periodic_box(9))):
+        for _ in range(4):
+            values = rng.normal(size=(9, 9, 9, 3)) + 1j * rng.normal(size=(9, 9, 9, 3))
+            yield ModeField(axes, values, periodic=(periodic,) * 3)
+    for pol in ([1, 0, 0], [0, 1, 0], [1, 1, 0]):
+        yield plane_wave(open_box(24), [0.4, 0.2, 0.0], pol)
+        yield plane_wave(periodic_box(16), [2 * np.pi, 0, 0], pol,
+                         periodic=(True, True, True))
+    # the fields of test_longitudinal_scale_counts_all_nine_partials
+    ax = np.linspace(0.0, 1.0, 12)
+    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
+    small = np.stack([0 * x, 1e-3 * x, 0 * x], axis=-1)
+    for big in (0 * x[..., None], np.stack([5.0 * x**2, 0 * x, 0 * x], axis=-1),
+                np.stack([y, x, 1e-3 * z**2], axis=-1)):
+        yield ModeField((ax, ax, ax), big + small)
+    yield ModeField(open_box(6), np.zeros((6, 6, 6, 3)))
+
+
+def test_curl_check_decides_as_the_nine_partial_reference():
+    decisions = set()
+    for f in _curl_check_fields():
+        c, scale = curl_and_scale(f)
+        ratio = c / scale if scale else 0.0
+        for tol in (1e-2, 0.0, 0.5 * ratio, 2.0 * ratio, ratio,
+                    np.nextafter(ratio, 0.0)):
+            g = replace(f, curl_tol=float(tol))
+            got = _decision(coupling._check_longitudinal, g)
+            assert got == _decision(check_longitudinal, g)
+            decisions.add(got is None)
+    assert decisions == {True, False}
+
+
+def test_curl_check_accepts_after_one_partial_beyond_the_curl(monkeypatch):
+    # a longitudinal wave: its first diagonal partial settles the scale
+    f = plane_wave(periodic_box(16), [2 * np.pi, 0, 0], [1, 0, 0],
+                   periodic=(True, True, True))
+    calls = []
+    partial = coupling._partial
+    monkeypatch.setattr(coupling, "_partial",
+                        lambda *a: calls.append(a[1:]) or partial(*a))
+    coupling._check_longitudinal(f)
+    assert len(calls) == 7 and calls[-1] == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # beta_acoustic
 
@@ -371,22 +428,81 @@ def test_beta_raman_against_loop_oracle(periodic=False):
               for _ in range(3)]
     phi2, phi1, psi = fields
     got = beta_raman(R, phi2, phi1, psi, OMEGA_C1, OMEGA_C2, EPS1, EPS2)
+    assert got == pytest.approx(_raman_loop_oracle(R, phi2, phi1, psi), rel=1e-12)
 
-    # explicit triple loop over tensor indices with scalar overlap integrals
-    from phonocool.coupling import integrate
+
+def _raman_loop_oracle(R, phi2, phi1, psi):
+    """Explicit triple loop over tensor indices with scalar overlap integrals."""
     total = 0.0
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                ov = integrate(psi, np.conj(phi2.values[..., i])
-                               * phi1.values[..., j] * psi.values[..., k])
+                ov = coupling.integrate(psi, np.conj(phi2.values[..., i])
+                                        * phi1.values[..., j] * psi.values[..., k])
                 total += R.components[i, j, k] * ov
-    expect = 2 * np.pi * np.sqrt(OMEGA_C2 * OMEGA_C1 / (EPS2 * EPS1)) * total
-    assert got == pytest.approx(expect, rel=1e-12)
+    return 2 * np.pi * np.sqrt(OMEGA_C2 * OMEGA_C1 / (EPS2 * EPS1)) * total
 
 
 def test_beta_raman_against_loop_oracle_periodic_grid():
     test_beta_raman_against_loop_oracle(periodic=True)
+
+
+def _slab_grids():
+    """Grid shapes whose nx is below, equal to and not a multiple of the
+    x-slab, and one whose single planes exceed the slab's cell count."""
+    planes = coupling._SLAB_CELLS // 256  # x-planes per slab on a 16 x 16 face
+    for nx in (planes * 5 // 8, planes, planes * 3 // 2 + 4):
+        yield (nx, 16, 16)
+    yield (4, 130, 130)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("shape", list(_slab_grids()))
+def test_slab_kernels_match_full_grid_formulas(shape, periodic):
+    rng = np.random.default_rng(sum(shape))
+    axes = tuple(np.linspace(0.0, 1.0, n, endpoint=not periodic) for n in shape)
+    size = shape + (3,)
+    phi2, phi1, psi = (
+        ModeField(axes, rng.normal(size=size) + 1j * rng.normal(size=size),
+                  periodic=(periodic,) * 3) for _ in range(3))
+    R = RamanTensor(rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
+    got = beta_raman(R, phi2, phi1, psi, OMEGA_C1, OMEGA_C2, EPS1, EPS2)
+    assert got == pytest.approx(_raman_loop_oracle(R, phi2, phi1, psi), rel=1e-12)
+
+    # the full-array formulas, bit for bit.  The divergence is multiplied
+    # by the overlap, in that order: numpy's complex product does not
+    # commute bit for bit, and `overlap * divergence(psi)` runs in this
+    # order anyway on grids of 2**14 cells or more, where numpy reuses
+    # the divergence temporary for the product
+    overlap = np.einsum("xyzc,xyzc->xyz", np.conj(phi2.values), phi1.values)
+    expect = PREF * coupling.integrate(psi, np.multiply(divergence(psi), overlap))
+    got = beta_acoustic(phi2, phi1, psi, GAMMA_E, OMEGA_C1, OMEGA_C2, EPS1, EPS2)
+    assert np.array_equal(np.array([got]).view(np.uint64),
+                          np.array([expect]).view(np.uint64))
+    norm2 = coupling.integrate(psi, np.einsum("xyzc,xyzc->xyz", np.conj(psi.values),
+                                              psi.values)).real
+    expect = psi.values * np.sqrt(1.3 * 2.0 / 2.0 / (0.7 * 2.0**2 * norm2))
+    got = normalize_mode(psi, rho0=0.7, omega_m=2.0, hbar=1.3).values
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+@pytest.mark.parametrize("route", ["acoustic", "raman"])
+def test_couplings_allocate_less_than_one_field(route):
+    # full-grid conj(phi2) copies would peak at 1.33 and 1.02 fields
+    phi1, phi2, psi = brillouin_triplet(periodic_box(64), [2 * np.pi, 0, 0],
+                                        k1=(4 * np.pi, 0, 0),
+                                        periodic=(True, True, True))
+    R = brillouin_raman_tensor(GAMMA_E, [2 * np.pi, 0, 0])
+    tracemalloc.start()
+    try:
+        if route == "acoustic":
+            beta_acoustic(phi2, phi1, psi, GAMMA_E, OMEGA_C1, OMEGA_C2, EPS1, EPS2)
+        else:
+            beta_raman(R, phi2, phi1, psi, OMEGA_C1, OMEGA_C2, EPS1, EPS2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.values.nbytes
 
 
 def test_raman_tensor_validation():
@@ -682,6 +798,26 @@ def test_couplings_reject_an_optical_prefactor_out_of_range(bad):
     with pytest.raises(ParameterError, match=match):
         beta_raman(brillouin_raman_tensor(1.0, [0.4, 0, 0]), f, g, f,
                    **{**OPTICAL, **bad})
+
+
+@pytest.mark.parametrize("gamma_e, amplitude", [(1e308, 1.0), (2.0, 1e120)],
+                         ids=["gamma_e", "fields"])
+def test_couplings_reject_a_coupling_that_overflows(gamma_e, amplitude):
+    # each constant and field value is finite; the coupling they make is
+    # not, and no numpy warning escapes (RuntimeWarning is an error here)
+    phi1, phi2, psi = brillouin_triplet(periodic_box(8), [2 * np.pi, 0, 0],
+                                        k1=(2 * np.pi, 0, 0), amps=(amplitude,) * 3,
+                                        periodic=(True, True, True))
+    optical = {**OPTICAL, "omega_c1": 100.0, "omega_c2": 100.0}
+    named = ("omega_c1=100.0, omega_c2=100.0, eps1=1.5, eps2=2.5: "
+             "the fields or constants overflow")
+    with pytest.raises(ParameterError, match=re.escape(
+            f"coupling is not finite for gamma_e={gamma_e!r}, {named}")):
+        beta_acoustic(phi2, phi1, psi, gamma_e=gamma_e, **optical)
+    R = brillouin_raman_tensor(gamma_e, [2 * np.pi, 0, 0])
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"coupling is not finite for {named}")):
+        beta_raman(R, phi2, phi1, psi, **optical)
 
 
 @pytest.mark.parametrize("bad", [
