@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import SystemParams, _write_columns, validate
 from .dynamics import _noise_densities, drift_matrix
@@ -71,6 +70,7 @@ class EnsembleStats:
 def step_covariance(params: SystemParams, dt: float) -> np.ndarray:
     """Exact one-step noise covariance Q = int_0^dt e^{Ms} N e^{M^dag s} ds,
     with N the diagonal of channel densities."""
+    from scipy.linalg import expm
     m = drift_matrix(params).m
     n = np.diag(_noise_densities(params)).astype(complex)
     block = np.zeros((6, 6), dtype=complex)
@@ -95,6 +95,7 @@ def _shaping_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def _propagator(params: SystemParams, dt: float):
+    from scipy.linalg import expm
     m = drift_matrix(params).m
     e = expm(m * dt)
     if not np.all(np.isfinite(e)):

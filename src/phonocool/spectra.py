@@ -15,7 +15,6 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .core import SystemParams, _write_columns, _write_json, validate
 from .dynamics import _noise_densities, drift_matrix
@@ -174,6 +173,7 @@ def occupancy(params: SystemParams, mode: int) -> float:
         raise SingularityError(
             "drift matrix is not Hurwitz to working precision: marginal "
             f"eigenvalue {slowest:.6g}")
+    from scipy.linalg import solve_continuous_lyapunov
     cov = solve_continuous_lyapunov(m, -np.diag(_noise_densities(p)[keep]))
     i = keep.index(mode)
     return float(cov[i, i].real)

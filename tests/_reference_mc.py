@@ -10,8 +10,13 @@ Two bitwise references sit beside it: `reference_draws` combines a
 trajectory's real normals into complex draws with the plain formula, and
 `reference_batch` shapes a whole batch's draws in one matrix product per
 step, as a kernel that splits that work between threads must reproduce.
+
+`time_average` is an exact expectation, not a simulation: the mean and the
+per-trajectory standard deviation of the recorded time average of |b_i|^2,
+from the drift matrix and the noise densities alone.
 """
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 
 def _stream(seed: int, traj: int) -> np.random.Generator:
@@ -60,3 +65,31 @@ def reference_batch(e: np.ndarray, c: np.ndarray, seed: int, lo: int,
         x = shaped[s] + x @ et
         shaped[s] = x
     return shaped[n_burn:, :hi - lo].transpose(1, 0, 2)
+
+
+def time_average(m: np.ndarray, noise: np.ndarray, dt: float, n_burn: int,
+                 n_tot: int):
+    """Exact expectation of the time average of |b_i|^2 over samples
+    n_burn+1 .. n_tot of a trajectory of dx/dt = m x + noise started from
+    the vacuum, and the standard deviation of that average for one
+    trajectory; `noise` holds the channel densities (a2, b1, b2).
+
+    E[x x^dag](t) = P - e^{mt} P e^{m^dag t} with m P + P m^dag + N = 0; for
+    a circular Gaussian, Cov(|b(t)|^2, |b(s)|^2) = |[e^{m|t-s|} P]_ii|^2
+    (stationary approximation).  Returns (mean, sd), each a length-2 array
+    for modes 1 and 2.
+    """
+    p = solve_continuous_lyapunov(m, -np.diag(noise))
+    lam, v = np.linalg.eig(m)
+    vinv = np.linalg.inv(v)
+    n = n_tot - n_burn
+    t = (n_burn + 1 + np.arange(n)) * dt
+    ph = np.exp(np.outer(t, lam))
+    w = vinv @ p @ vinv.conj().T
+    transient = np.einsum("ia,ab,ib,ta,tb->i", v, w, v.conj(), ph, ph.conj()).real / n
+    mean = np.diag(p).real - transient
+    lags = np.arange(n)
+    corr = np.einsum("ia,da,ai->di", v, np.exp(np.outer(lags * dt, lam)), vinv @ p)
+    weight = np.where(lags == 0, n, 2 * (n - lags))
+    var = (weight[:, None] * np.abs(corr)**2).sum(axis=0) / n**2
+    return mean[1:], np.sqrt(var[1:])

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import phonocool
 from phonocool import (SystemParams, cooling_ratio, occupancy, phonon_spectrum,
                        plane_wave, save_mode_field)
 from phonocool.cli import COMMANDS, CliError, RunConfig, main, run
@@ -639,3 +643,64 @@ def test_config_switch_values(text, normalized, tmp_path):
     config = json.loads((tmp_path / "s.csv.meta.json").read_text())["config"]
     assert config["normalized"] is normalized
     assert "nbar2" not in config  # null leaves the flag unset
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy is imported only by the commands that call it
+
+RUN_COLD = ("import sys; from phonocool import cli; "
+            "print(cli.main(sys.argv[1:]), 'scipy' in sys.modules)")
+
+
+def run_cold(code, *argv, cwd=None):
+    """Stdout lines of `code` run with `argv` in a fresh interpreter that
+    imports the same phonocool as this one."""
+    src = os.path.dirname(os.path.dirname(phonocool.__file__))
+    out = subprocess.run([sys.executable, "-c", code, *argv], check=True,
+                         capture_output=True, text=True, timeout=60, cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": src})
+    return out.stdout.splitlines()
+
+
+def test_import_and_parser_leave_scipy_unloaded():
+    code = ("import sys, phonocool, phonocool.cli; phonocool.cli.build_parser(); "
+            "print('scipy' in sys.modules)")
+    assert run_cold(code) == ["False"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "antistokes", "collective",
+                                     "three-wave", "coupling"])
+def test_command_runs_without_loading_scipy(command, tmp_path):
+    if command == "coupling":
+        ax = np.linspace(0.0, 1.0, 4)
+        for name, k, pol in (("phi1", [0.7, 0, 0], [0, 1, 0]),
+                             ("phi2", [0.8, 0, 0], [0, 1, 0]),
+                             ("psi", [0.1, 0, 0], [1, 0, 0])):
+            save_mode_field(tmp_path / f"{name}.txt",
+                            plane_wave((ax, ax, ax), k, pol))
+    lines = run_cold(RUN_COLD, command, *ROUND_TRIP[command][0],
+                     "--output", "out", cwd=tmp_path)
+    assert lines[-1] == "0 False"
+    assert (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:burn_in:UserWarning")
+@pytest.mark.parametrize("command", ["cooling-ratio", "simulate"])
+def test_scipy_command_run_cold_writes_the_same_bytes(command, tmp_path,
+                                                      monkeypatch, capsys):
+    # the first call in a fresh interpreter runs each import of scipy
+    # inside spectra and langevin
+    argv = [command, *ROUND_TRIP[command][0], "--output", "out"]
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir()
+    warm.mkdir()
+    lines = run_cold(RUN_COLD, *argv, cwd=cold)
+    monkeypatch.chdir(warm)
+    assert main(argv) == 0
+    assert lines == capsys.readouterr().out.splitlines() + ["0 True"]
+    written = sorted(p.relative_to(warm) for p in warm.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(cold) for p in cold.rglob("*")
+                  if p.is_file()) == written
+    assert len(written) == (5 if command == "simulate" else 2)
+    for name in written:
+        assert (cold / name).read_bytes() == (warm / name).read_bytes()

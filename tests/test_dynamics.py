@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from phonocool import (
     drift_matrix,
     evolve_three_wave,
 )
+
+from _three_wave_reference import three_wave_reference
 
 FIG2 = SystemParams(kappa2=1.0, delta=0.0, omega=0.1, gamma1=0.01,
                     gamma2=0.01, g1=0.3, g2=0.5, nbar1=100.0)
@@ -81,6 +85,47 @@ def test_trajectory_csv_export(tmp_path):
     data = np.loadtxt(path, delimiter=",")
     assert data.shape == (11, 7)
     assert data[0, 4] == pytest.approx(0.5)  # Im(a2) at t=0
+
+
+# complex coupling and pump, both detunings and the mismatch nonzero
+DETUNED = ThreeWaveParams(kappa1=0.3, kappa2=1.0, Gamma=0.1, Delta1=0.4,
+                          Delta2=-0.25, delta=0.37, beta=0.6 + 0.45j,
+                          pump=0.5 - 0.3j)
+DETUNED_INIT = ThreeWaveState(a1=1.0 + 0.2j, a2=0.5j, u=0.3 - 0.1j)
+
+
+def test_detuned_trajectory_matches_adaptive_reference():
+    traj = evolve_three_wave(DETUNED, DETUNED_INIT, t_end=5.0, dt=0.01)
+    ref = three_wave_reference(DETUNED, DETUNED_INIT, traj.t)
+    got = np.column_stack([traj.a1, traj.a2, traj.u])
+    assert np.abs(got - ref).max() < 1e-8
+    # the coupling moves the fields well beyond the tolerance
+    free = three_wave_reference(replace(DETUNED, beta=0j), DETUNED_INIT, traj.t)
+    assert np.abs(got - free).max() > 1e-2
+
+
+def test_decoupled_detuned_amplitudes_follow_closed_forms():
+    p = replace(DETUNED, beta=0j)
+    traj = evolve_three_wave(p, DETUNED_INIT, t_end=5.0, dt=0.01)
+    t, init = traj.t, DETUNED_INIT
+    a1_fixed = p.kappa1 * p.pump / (p.kappa1 + 1j * p.Delta1)
+    a1 = a1_fixed + (init.a1 - a1_fixed) * np.exp(-(p.kappa1 + 1j * p.Delta1) * t)
+    assert np.abs(traj.a1 - a1).max() < 1e-8
+    assert np.abs(traj.a2 - init.a2 * np.exp(-(p.kappa2 + 1j * p.Delta2) * t)).max() < 1e-8
+    assert np.abs(traj.u - init.u * np.exp(-p.Gamma * t)).max() < 1e-8
+
+
+def test_mismatch_is_a2_detuning_in_a_rotating_frame():
+    # a2 = a2~ e^{i delta t} turns the mismatch delta into a detuning
+    # Delta2 + delta of a2~
+    mismatched = evolve_three_wave(DETUNED, DETUNED_INIT, t_end=5.0, dt=0.01)
+    rotated = evolve_three_wave(
+        replace(DETUNED, delta=0.0, Delta2=DETUNED.Delta2 + DETUNED.delta),
+        DETUNED_INIT, t_end=5.0, dt=0.01)
+    phase = np.exp(1j * DETUNED.delta * rotated.t)
+    assert np.abs(mismatched.a1 - rotated.a1).max() < 1e-9
+    assert np.abs(mismatched.a2 - rotated.a2 * phase).max() < 1e-9
+    assert np.abs(mismatched.u - rotated.u).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +242,16 @@ def test_adiabatic_collective_limit():
     w_sorted = sorted(w, key=lambda z: z.real)
     assert w_sorted[0] == pytest.approx(-2 * g**2, abs=1e-14)
     assert w_sorted[1] == pytest.approx(0.0, abs=1e-14)
+
+
+def test_adiabatic_reduction_is_schur_complement_for_complex_couplings():
+    p = SystemParams(kappa2=1.0, delta=0.2, omega=0.1, gamma1=0.01,
+                     gamma2=0.02, g1=0.3 + 0.2j, g2=0.1 - 0.4j, nbar1=1.0)
+    red = adiabatic_reduce(p)
+    m = drift_matrix(p).m
+    schur = m[1:, 1:] - np.outer(m[1:, 0], m[0, 1:]) / m[0, 0]
+    assert np.allclose(red.matrix, schur, rtol=1e-14, atol=1e-16)
+    assert red.cross_coupling == pytest.approx(-red.matrix[0, 1], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
