@@ -390,19 +390,22 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The phonocool parser.  Every command is registered with its help
-    text; flags are added for `command` only, or for all when it is None."""
+    """The phonocool parser.  When `command` names a command, only its
+    subparser is registered, with its flags; otherwise (None, or any other
+    text) every command is registered with its help text and flags, so
+    top-level help and the error for an unknown name list them all."""
     parser = _Parser(prog="phonocool",
                      description="Phonon cooling spectra, dynamics, and "
                                  "Monte Carlo (all rates in kappa2 units)")
     parser.add_argument("--version", action="version",
                         version=f"phonocool {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, flags) in COMMANDS.items():
+    names = [command] if command in COMMANDS else COMMANDS
+    for name in names:
+        _, text, flags = COMMANDS[name]
         p = sub.add_parser(name, help=text)
-        if command in (None, name):
-            for option, kwargs in flags:
-                p.add_argument(option, **kwargs)
+        for option, kwargs in flags:
+            p.add_argument(option, **kwargs)
     return parser
 
 
@@ -493,9 +496,8 @@ def main(argv=None) -> int:
 
     def parse():
         expanded = _expand_config(argv)
-        j = _command_at(expanded)
-        command = expanded[j] if j < len(expanded) else None
-        return build_parser(command).parse_args(expanded)
+        # a command not in first place (after -h, say) gets the full parser
+        return build_parser(next(iter(expanded), None)).parse_args(expanded)
 
     return _dispatch(parse)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -32,6 +31,10 @@ class CovarianceError(RuntimeError):
 _TRAJ_BATCH = 512  # trajectories propagated per vectorized block
 _WELCH_BATCH = 64  # smaller: the periodogram holds each whole record
 _CHUNK = 1024  # steps drawn and propagated per block
+# concurrent.futures.ThreadPoolExecutor, imported by the first _propagate
+# call so that no other command pays for it; a module attribute, so it
+# can be replaced
+ThreadPoolExecutor = None
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,9 @@ def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
     def shape(steps: slice) -> None:  # split by step: each gemm has all rows
         np.matmul(draws[:, steps].transpose(1, 0, 2), ct, out=buf[steps])
 
+    global ThreadPoolExecutor
+    if ThreadPoolExecutor is None:
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(2) as pool:  # per call: no thread outlives it
         for start in range(0, n_burn + n_rec, _CHUNK):
             k = min(_CHUNK, n_burn + n_rec - start)

@@ -7,7 +7,11 @@ equation M P + P M^dag + N = 0 with M the drift matrix and
 N = diag(0, 2 gamma1 nbar1, 2 gamma2 nbar2); <b_i^dag b_i> = P_ii.  A
 phonon mode with zero half-width and zero coupling is a free oscillator
 that cannot affect the other mode, so it is dropped and only the coupled
-(cavity, phonon) block is solved.
+(cavity, phonon) block is solved.  The spectra follow the same rule: such
+a mode adds nothing to the other mode's spectrum or to the anti-Stokes
+spectrum, so a grid through its pole is fine; the pole of a zero-width
+mode that is coupled, or whose own spectrum is requested, raises
+SingularityError.
 """
 from __future__ import annotations
 
@@ -53,18 +57,25 @@ class SpectrumCurve:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
 
 
-def _response(p: SystemParams, omega):
+def _response(p: SystemParams, omega, mode: int | None = None):
     """(da, d1, d2, d) at omega: the bare cavity and phonon denominators and
-    the coupled cavity response d = da + |G1|^2/d1 + |G2|^2/d2.  Raises
-    SingularityError when omega hits the pole of a zero-width mode."""
+    the coupled cavity response d = da + |G1|^2/d1 + |G2|^2/d2.  A zero-width
+    mode that is uncoupled and not `mode` is dropped: its denominator is
+    returned as infinite, so each term it divides (all with a zero
+    numerator) is zero.  Raises SingularityError when omega hits the pole
+    of any other zero-width mode."""
     omega = np.asarray(omega, dtype=float)
-    if p.gamma1 == 0.0 and np.any(omega == p.omega):
-        raise SingularityError("pole hit: gamma1 = 0 at omega = +Omega")
-    if p.gamma2 == 0.0 and np.any(omega == -p.omega):
-        raise SingularityError("pole hit: gamma2 = 0 at omega = -Omega")
     da = 1j * (p.delta - omega) + p.kappa2
-    d1 = 1j * (p.omega - omega) + p.gamma1
-    d2 = -1j * (p.omega + omega) + p.gamma2
+    dens = [1j * (p.omega - omega) + p.gamma1,
+            -1j * (p.omega + omega) + p.gamma2]
+    for i, sign in ((1, "+"), (2, "-")):
+        gamma, g, _, res = _mode(p, i)
+        if gamma == 0.0 and g == 0 and i != mode:
+            dens[i - 1] = np.full_like(dens[i - 1], np.inf)
+        elif gamma == 0.0 and np.any(omega == res):
+            raise SingularityError(
+                f"pole hit: gamma{i} = 0 at omega = {sign}Omega")
+    d1, d2 = dens
     return da, d1, d2, da + abs(p.g1)**2 / d1 + abs(p.g2)**2 / d2
 
 
@@ -98,7 +109,7 @@ def _grid_span_warning(p: SystemParams, omegas: np.ndarray) -> None:
 
 
 def _phonon_density(p: SystemParams, mode: int, omega) -> np.ndarray:
-    da, d1, d2, d = _response(p, omega)
+    da, d1, d2, d = _response(p, omega, mode)
     n = _noise_densities(p)
     # noise density and denominator of this mode (i) and of the other (j)
     (ni, di), (nj, dj, gj) = (((n[1], d1), (n[2], d2, p.g2)) if mode == 1

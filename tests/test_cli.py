@@ -10,7 +10,8 @@ import pytest
 import phonocool
 from phonocool import (SystemParams, cooling_ratio, occupancy, phonon_spectrum,
                        plane_wave, save_mode_field)
-from phonocool.cli import COMMANDS, CliError, RunConfig, main, run
+from phonocool.cli import (COMMANDS, CliError, RunConfig, _expand_config,
+                           build_parser, main, run)
 from phonocool.core import _write_json
 
 
@@ -393,6 +394,70 @@ def test_every_command_round_trips_through_its_sidecar(command, tmp_path,
 
 
 # ---------------------------------------------------------------------------
+# main builds the parser of the invoked command only; it must parse, help
+# and fail exactly as the parser of every command does
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP))
+def test_one_command_parser_parses_as_the_full_parser(command, tmp_path):
+    argv = [command, *ROUND_TRIP[command][0], "--output", "out"]
+    sidecar = tmp_path / "out.meta.json"
+    _write_json(sidecar, {"config": ROUND_TRIP[command][1]})
+    replay = _expand_config([command, "--config", str(sidecar)])
+    parsed = [build_parser(command).parse_args(a) for a in (argv, replay)]
+    assert parsed == [build_parser().parse_args(a) for a in (argv, replay)]
+    assert parsed[0] == parsed[1]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_command_help_is_the_full_parsers(command, capsys):
+    texts = []
+    for parser in (build_parser(command), build_parser()):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(f"usage: phonocool {command} [-h]")
+    # help asked before the command is the top-level help, every command in it
+    with pytest.raises(SystemExit):
+        main(["-h", command])
+    top = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["-h"])
+    assert top == capsys.readouterr().out
+    assert all(name in top for name in COMMANDS)
+
+
+def test_unknown_command_error_names_every_command(capsys):
+    code, out = invoke(["no-such-command"], capsys)
+    assert code == 1
+    assert out.err.startswith("error: argument command: invalid choice: "
+                              "'no-such-command'")
+    assert len(COMMANDS) == 8
+    assert all(f"'{name}'" in out.err for name in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--version", "spectrum"]])
+def test_version(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "phonocool 0.1.0\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "antistokes"])
+def test_single_mode_spectrum_on_the_default_grid(command, tmp_path):
+    # mode 2 has zero width and no coupling, and its pole omega = -Omega = 0
+    # is a point of the default grid: it is dropped, as by cooling-ratio
+    single = [command, "--g1", "0.3", "--gamma1", "0.01", "--nbar1", "100"]
+    assert invoke(single + ["--output", str(tmp_path / "free.csv")]) == 0
+    assert invoke(single + ["--gamma2", "0.01",
+                            "--output", str(tmp_path / "damped.csv")]) == 0
+    assert ((tmp_path / "free.csv").read_bytes()
+            == (tmp_path / "damped.csv").read_bytes())
+
+
+# ---------------------------------------------------------------------------
 # the system parameters are declared once, by the SystemParams fields
 
 SYSTEM_COMMANDS = ("spectrum", "antistokes", "cooling-ratio", "simulate",
@@ -704,3 +769,15 @@ def test_scipy_command_run_cold_writes_the_same_bytes(command, tmp_path,
     assert len(written) == (5 if command == "simulate" else 2)
     for name in written:
         assert (cold / name).read_bytes() == (warm / name).read_bytes()
+
+
+def test_thread_pool_is_loaded_by_the_monte_carlo_only(tmp_path):
+    code = ("import sys, phonocool, phonocool.cli; phonocool.cli.build_parser(); "
+            "print('concurrent.futures' in sys.modules)")
+    assert run_cold(code) == ["False"]
+    code = ("import sys; from phonocool import cli; "
+            "print(cli.main(sys.argv[1:]), 'concurrent.futures' in sys.modules)")
+    for command, loaded in (("spectrum", "False"), ("simulate", "True")):
+        lines = run_cold(code, command, *ROUND_TRIP[command][0],
+                         "--output", "out", cwd=tmp_path)
+        assert lines[-1] == f"0 {loaded}"

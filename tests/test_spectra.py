@@ -243,6 +243,41 @@ def test_zero_width_mode_coupled_or_requested_is_rejected(mode):
         occupancy(requested, mode)
 
 
+# a grid on [-1.5, 1.5] that holds both poles +-Omega of each Omega below
+POLE_GRID = np.arange(-600, 601) / 400
+
+
+@pytest.mark.parametrize("omega", [0.0, 60 / 400])
+@pytest.mark.parametrize("mode", [1, 2])
+def test_decoupled_zero_width_mode_is_dropped_from_the_spectra(mode, omega):
+    other = 3 - mode
+    assert np.any(POLE_GRID == omega) and np.any(POLE_GRID == -omega)
+    free = replace(FIG2, omega=omega, **{f"gamma{other}": 0.0, f"g{other}": 0j})
+    damped = replace(free, **{f"gamma{other}": 0.01})
+    for curve in (lambda p: phonon_spectrum(p, mode, POLE_GRID).values,
+                  lambda p: phonon_spectrum(p, mode, POLE_GRID,
+                                            normalized=True).values,
+                  lambda p: antistokes_spectrum(p, POLE_GRID).values):
+        assert np.array_equal(curve(free), curve(damped))
+    assert np.array_equal(d_of_omega(free, POLE_GRID),
+                          d_of_omega(damped, POLE_GRID))
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_zero_width_pole_still_raises_when_coupled_or_requested(mode):
+    other = 3 - mode
+    om = replace(FIG2, omega=60 / 400)
+    coupled = replace(om, **{f"gamma{other}": 0.0})
+    for curve in (lambda p: phonon_spectrum(p, mode, POLE_GRID),
+                  lambda p: antistokes_spectrum(p, POLE_GRID),
+                  lambda p: d_of_omega(p, POLE_GRID)):
+        with pytest.raises(SingularityError, match=f"gamma{other} = 0"):
+            curve(coupled)
+    requested = replace(om, **{f"gamma{mode}": 0.0, f"g{mode}": 0j})
+    with pytest.raises(SingularityError, match=f"gamma{mode} = 0"):
+        phonon_spectrum(requested, mode, POLE_GRID)
+
+
 def test_occupancy_rejects_marginal_drift():
     # Omega = delta = 0 and g1 = g2 leave the dark mode (b1 - b2)/sqrt2
     # damped only by gamma, far below rounding of the cavity-scale rates
