@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .core import (SystemParams, ThreeWaveParams, ThreeWaveState, _write_columns,
-                   _write_json, validate)
+                   _write_json)
 from .coupling import beta_acoustic, load_mode_field, normalize_mode
 from .dynamics import IntegrationError, collective_rates, evolve_three_wave
 from .langevin import CovarianceError, simulate_ensemble
@@ -123,9 +123,9 @@ _SWEEP_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "kappa2"
 
 
 def _build_params(args, **axis) -> SystemParams:
-    """The validated system of the flags, the fields in `axis` overridden."""
+    """The system of the flags, the fields in `axis` overridden."""
     flags = {name: getattr(args, name) for name in _SWEEP_FIELDS}
-    return validate(SystemParams(kappa2=1.0, **{**flags, **axis}))
+    return SystemParams(kappa2=1.0, **{**flags, **axis})
 
 
 def _dest(option: str, kwargs: dict) -> str:
@@ -249,14 +249,15 @@ def cmd_collective(args) -> None:
 
 
 def cmd_three_wave(args) -> None:
+    init = ThreeWaveState(a1=args.a1, a2=args.a2, u=args.u)
     params = ThreeWaveParams(
         kappa1=args.kappa1, kappa2=1.0, Gamma=args.gamma,
         Delta1=args.delta1, Delta2=args.delta2, delta=args.mismatch,
         beta=args.beta, pump=args.pump)
-    init = ThreeWaveState(a1=args.a1, a2=args.a2, u=args.u)
     traj = evolve_three_wave(params, init, t_end=args.t_end, dt=args.dt)
     traj.save_csv(args.output, time_unit="1/kappa2")
-    _write_sidecar(args)
+    # the run takes whole steps of dt, so it may end short of or past t_end
+    _write_sidecar(args, t_end_reached=float(traj.t[-1]))
     print(f"wrote {args.output}")
 
 

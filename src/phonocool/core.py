@@ -64,14 +64,15 @@ class SystemParams:
         for f in fields(self):
             kind = complex if f.type == "complex" else float
             object.__setattr__(self, f.name, kind(getattr(self, f.name)))
+        validate(self)
 
 
 def validate(params: SystemParams) -> SystemParams:
     """Check all SystemParams invariants; return the params unchanged.
 
-    Raises ParameterError naming the first violated field.  Validation is
-    idempotent and every downstream operation calls it, so an invalid
-    parameter set cannot propagate into the numerics.
+    Raises ParameterError naming the first violated field.  Every
+    SystemParams runs it when built (dataclasses.replace included), so an
+    invalid parameter set cannot exist; calling it again is a no-op.
     """
     _require_finite_fields(params)
     if not params.kappa2 > 0:
@@ -110,12 +111,12 @@ def system_from_modes(mode1: PhononModeSpec, mode2: PhononModeSpec,
     the half-splitting (Omega_1 - Omega_2)/2 enters the dynamics.
     """
     half_split = 0.5 * (mode1.center_frequency - mode2.center_frequency)
-    return validate(SystemParams(
+    return SystemParams(
         kappa2=kappa2, delta=delta, omega=half_split,
         gamma1=mode1.half_width, gamma2=mode2.half_width,
         g1=g1, g2=g2,
         nbar1=mode1.occupancy, nbar2=mode2.occupancy,
-    ))
+    )
 
 
 @dataclass(frozen=True)
@@ -142,13 +143,15 @@ class ThreeWaveParams:
     def __post_init__(self):
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "pump", complex(self.pump))
+        validate_three_wave(self)
 
 
 def validate_three_wave(params: ThreeWaveParams) -> ThreeWaveParams:
-    """Check ThreeWaveParams invariants; raises ParameterError on the first violation.
+    """Check ThreeWaveParams invariants; return the params unchanged.
 
-    Zero optical widths are allowed so the lossless (Manley-Rowe) regime
-    is representable.
+    Raises ParameterError on the first violation; every ThreeWaveParams runs
+    it when built.  Zero optical widths are allowed so the lossless
+    (Manley-Rowe) regime is representable.
     """
     _require_finite_fields(params)
     _require_nonnegative(params, "kappa1", "kappa2", "Gamma")

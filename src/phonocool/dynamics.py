@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SystemParams, ThreeWaveParams, ThreeWaveState,
-                   _write_columns, validate, validate_three_wave)
+from .core import SystemParams, ThreeWaveParams, ThreeWaveState, _write_columns
 
 
 class IntegrationError(RuntimeError):
@@ -62,15 +61,16 @@ def evolve_three_wave(params: ThreeWaveParams, init: ThreeWaveState,
     Trajectory.t records the times actually reached; dt must be finite
     and positive, t_end finite and nonnegative.
     """
-    p = validate_three_wave(params)
     if not 0 < dt < np.inf:
         raise IntegrationError(f"dt must be positive and finite, got {dt!r}")
     if not 0 <= t_end < np.inf:
         raise IntegrationError(
             f"t_end must be finite and nonnegative, got {t_end!r}")
-    amp = max(abs(init.a1), abs(init.a2), abs(init.u), abs(p.pump))
-    rate = max(p.kappa1, p.kappa2, p.Gamma, abs(p.Delta1), abs(p.Delta2),
-               abs(p.delta), abs(p.beta) * amp)
+    k1c, k2c, G = params.kappa1, params.kappa2, params.Gamma
+    b, delta = params.beta, params.delta
+    amp = max(abs(init.a1), abs(init.a2), abs(init.u), abs(params.pump))
+    rate = max(k1c, k2c, G, abs(params.Delta1), abs(params.Delta2), abs(delta),
+               abs(b) * amp)
     if dt * rate >= 0.1:
         raise IntegrationError(
             f"stability guard violated: dt*max(rates) = {dt * rate:.3g} >= 0.1")
@@ -82,11 +82,8 @@ def evolve_three_wave(params: ThreeWaveParams, init: ThreeWaveState,
     u = np.empty(n_steps + 1, dtype=complex)
     a1[0], a2[0], u[0] = init.a1, init.a2, init.u
 
-    k1c, k2c, G = p.kappa1, p.kappa2, p.Gamma
-    iD1, iD2 = 1j * p.Delta1, 1j * p.Delta2
-    b, bc = p.beta, p.beta.conjugate()
-    drive = k1c * p.pump
-    delta = p.delta
+    iD1, iD2, bc = 1j * params.Delta1, 1j * params.Delta2, b.conjugate()
+    drive = k1c * params.pump
 
     def rhs(ti, y1, y2, yu):
         ph = cmath.exp(1j * delta * ti)
@@ -133,11 +130,10 @@ class DriftMatrix:
 
 def drift_matrix(params: SystemParams) -> DriftMatrix:
     """Drift matrix of the two-phonon + cavity quantum Langevin system."""
-    p = validate(params)
     m = np.array([
-        [-1j * p.delta - p.kappa2, -1j * p.g1, -1j * p.g2],
-        [-1j * np.conj(p.g1), -1j * p.omega - p.gamma1, 0.0],
-        [-1j * np.conj(p.g2), 0.0, 1j * p.omega - p.gamma2],
+        [-1j * params.delta - params.kappa2, -1j * params.g1, -1j * params.g2],
+        [-1j * np.conj(params.g1), -1j * params.omega - params.gamma1, 0.0],
+        [-1j * np.conj(params.g2), 0.0, 1j * params.omega - params.gamma2],
     ], dtype=complex)
     return DriftMatrix(m=m)
 
@@ -175,27 +171,27 @@ def adiabatic_reduce(params: SystemParams) -> AdiabaticReduction:
     Valid for kappa2 >> gamma_i; outside that regime a warning is issued
     but the algebraic reduction is still returned.
     """
-    p = validate(params)
-    guard_ok = p.kappa2 > 10.0 * max(p.gamma1, p.gamma2)
+    guard_ok = params.kappa2 > 10.0 * max(params.gamma1, params.gamma2)
     if not guard_ok:
         warnings.warn(
             "adiabatic elimination assumes kappa2 >> gamma_i; "
-            f"kappa2 = {p.kappa2:g} vs max gamma = {max(p.gamma1, p.gamma2):g}",
-            stacklevel=2)
-    pole = p.kappa2 + 1j * p.delta
-    bare = np.diag([-1j * p.omega - p.gamma1, 1j * p.omega - p.gamma2]).astype(complex)
-    g = np.array([p.g1, p.g2])
+            f"kappa2 = {params.kappa2:g} vs max gamma = "
+            f"{max(params.gamma1, params.gamma2):g}", stacklevel=2)
+    pole = params.kappa2 + 1j * params.delta
+    bare = np.diag([-1j * params.omega - params.gamma1,
+                    1j * params.omega - params.gamma2]).astype(complex)
+    g = np.array([params.g1, params.g2])
     induced = np.outer(np.conj(g), g) / pole
-    lor = p.kappa2**2 + p.delta**2
-    gamma_eff = (p.gamma1 + abs(p.g1)**2 * p.kappa2 / lor,
-                 p.gamma2 + abs(p.g2)**2 * p.kappa2 / lor)
-    omega_shift = (-p.delta * abs(p.g1)**2 / lor,
-                   -p.delta * abs(p.g2)**2 / lor)
+    lor = params.kappa2**2 + params.delta**2
+    gamma_eff = (params.gamma1 + abs(params.g1)**2 * params.kappa2 / lor,
+                 params.gamma2 + abs(params.g2)**2 * params.kappa2 / lor)
+    omega_shift = (-params.delta * abs(params.g1)**2 / lor,
+                   -params.delta * abs(params.g2)**2 / lor)
     return AdiabaticReduction(
         matrix=bare - induced,
         gamma_eff=gamma_eff,
         omega_shift=omega_shift,
-        cross_coupling=complex(np.conj(p.g1) * p.g2 / pole),
+        cross_coupling=complex(np.conj(params.g1) * params.g2 / pole),
         guard_ok=guard_ok,
     )
 

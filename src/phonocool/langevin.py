@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import SystemParams, _write_columns, validate
+from .core import SystemParams, _write_columns
 from .dynamics import _noise_densities, drift_matrix
 
 
@@ -205,12 +205,11 @@ def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
     With dump_dir set, the recorded window of every trajectory is written
     as CSV (one file per trajectory; large).
     """
-    p = validate(params)
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
     n_burn, n_rec = _record(t_end, dt, burn_in)
-    _warn_short_burn_in(p, burn_in)
-    e, c = _propagator(p, dt)
+    _warn_short_burn_in(params, burn_in)
+    e, c = _propagator(params, dt)
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
     t_rec = (n_burn + 1 + np.arange(n_rec)) * dt
@@ -291,13 +290,12 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
     must be whole numbers of steps dt, segment_length a whole number;
     n_traj must be at least 1.
     """
-    p = validate(params)
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     if not 0 <= overlap < 1:
         raise ValueError(f"overlap must be in [0, 1), got {overlap!r}")
     n_burn, n_rec = _record(t_end, dt, burn_in)
-    gammas = [g for g in (p.gamma1, p.gamma2) if g > 0]
+    gammas = [g for g in (params.gamma1, params.gamma2) if g > 0]
     if gammas and (t_end - burn_in) < 50.0 / min(gammas):
         raise ValueError(
             f"record too short: need t_end - burn_in >= {50.0 / min(gammas):g} "
@@ -308,13 +306,13 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
     n_seg = n_rec if segment_length is None else int(segment_length)
     if n_seg < 8 or n_seg > n_rec:
         raise ValueError("segment_length must be in [8, record length]")
-    _warn_short_burn_in(p, burn_in)
+    _warn_short_burn_in(params, burn_in)
     hop = max(1, int(round(n_seg * (1.0 - overlap))))
     starts = list(range(0, n_rec - n_seg + 1, hop))
 
     win = np.hanning(n_seg)
     wnorm = float((win**2).sum())
-    e, c = _propagator(p, dt)
+    e, c = _propagator(params, dt)
 
     s_sum = np.zeros((2, n_seg))
     s_sqsum = np.zeros((2, n_seg))

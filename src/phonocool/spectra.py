@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import SystemParams, _write_columns, _write_json, validate
+from .core import SystemParams, _write_columns, _write_json
 from .dynamics import _noise_densities, drift_matrix
 
 
@@ -59,18 +59,17 @@ class SpectrumCurve:
 
 def _response(p: SystemParams, omega, mode: int | None = None):
     """(da, d1, d2, d) at omega: the bare cavity and phonon denominators and
-    the coupled cavity response d = da + |G1|^2/d1 + |G2|^2/d2.  A zero-width
-    mode that is uncoupled and not `mode` is dropped: its denominator is
-    returned as infinite, so each term it divides (all with a zero
-    numerator) is zero.  Raises SingularityError when omega hits the pole
-    of any other zero-width mode."""
+    the coupled cavity response d = da + |G1|^2/d1 + |G2|^2/d2.  A dropped
+    mode's denominator is returned as infinite, so each term it divides
+    (all with a zero numerator) is zero.  Raises SingularityError when
+    omega hits the pole of any other zero-width mode."""
     omega = np.asarray(omega, dtype=float)
     da = 1j * (p.delta - omega) + p.kappa2
     dens = [1j * (p.omega - omega) + p.gamma1,
             -1j * (p.omega + omega) + p.gamma2]
     for i, sign in ((1, "+"), (2, "-")):
-        gamma, g, _, res = _mode(p, i)
-        if gamma == 0.0 and g == 0 and i != mode:
+        gamma, _, _, res = _mode(p, i)
+        if _dropped(p, i, mode):
             dens[i - 1] = np.full_like(dens[i - 1], np.inf)
         elif gamma == 0.0 and np.any(omega == res):
             raise SingularityError(
@@ -88,6 +87,13 @@ def _mode(p: SystemParams, mode: int):
     raise ValueError(f"mode must be 1 or 2, got {mode!r}")
 
 
+def _dropped(p: SystemParams, i: int, mode: int | None) -> bool:
+    """Whether phonon mode i is dropped: zero width, uncoupled, and not the
+    requested `mode`."""
+    gamma, g, _, _ = _mode(p, i)
+    return gamma == 0.0 and g == 0 and i != mode
+
+
 def d_of_omega(params: SystemParams, omega):
     """Cavity response denominator d(omega) of the coupled system.
 
@@ -95,7 +101,7 @@ def d_of_omega(params: SystemParams, omega):
       + |G2|^2/(-i Omega - i omega + gamma2).
     Scalar in, scalar out; arrays broadcast.
     """
-    out = _response(validate(params), omega)[3]
+    out = _response(params, omega)[3]
     return out if np.ndim(omega) else complex(out)
 
 
@@ -131,11 +137,10 @@ def phonon_spectrum(params: SystemParams, mode: int, omegas,
     With normalized=True returns gamma_i S / (2 nbar_i), whose uncoupled
     peak equals one.
     """
-    p = validate(params)
-    gamma, _, nbar, _ = _mode(p, mode)
+    gamma, _, nbar, _ = _mode(params, mode)
     omegas = np.asarray(omegas, dtype=float)
-    values = _phonon_density(p, mode, omegas)  # raises on a pole
-    _grid_span_warning(p, omegas)
+    values = _phonon_density(params, mode, omegas)  # raises on a pole
+    _grid_span_warning(params, omegas)
     if normalized:
         if nbar <= 0:
             raise ValueError("normalized spectrum needs a positive occupancy")
@@ -146,11 +151,10 @@ def phonon_spectrum(params: SystemParams, mode: int, omegas,
 
 def antistokes_spectrum(params: SystemParams, omegas) -> SpectrumCurve:
     """Closed-form spectrum of the generated anti-Stokes cavity field."""
-    p = validate(params)
     omegas = np.asarray(omegas, dtype=float)
-    _, d1, d2, d = _response(p, omegas)
-    n = _noise_densities(p)
-    num = n[1] * np.abs(p.g1 / d1)**2 + n[2] * np.abs(p.g2 / d2)**2
+    _, d1, d2, d = _response(params, omegas)
+    n = _noise_densities(params)
+    num = n[1] * np.abs(params.g1 / d1)**2 + n[2] * np.abs(params.g2 / d2)**2
     return SpectrumCurve(omegas=omegas, values=num / np.abs(d)**2,
                          kind="antistokes")
 
@@ -166,18 +170,13 @@ def occupancy(params: SystemParams, mode: int) -> float:
     as does a drift whose slowest eigenvalue is not decaying beyond
     rounding (no steady state to report).
     """
-    p = validate(params)
-    _mode(p, mode)  # rejects a mode other than 1 or 2
-    keep = [0]
-    for i in (1, 2):
-        gamma, g, _, _ = _mode(p, i)
-        if gamma > 0:
-            keep.append(i)
-        elif i == mode or g != 0:
-            raise SingularityError(
-                "occupancy requires positive phonon half-widths (gamma1, gamma2) "
-                "unless the zero-width mode is uncoupled and not requested")
-    m = drift_matrix(p).m[np.ix_(keep, keep)]
+    _mode(params, mode)  # rejects a mode other than 1 or 2
+    keep = [0] + [i for i in (1, 2) if not _dropped(params, i, mode)]
+    if any(_mode(params, i)[0] == 0.0 for i in keep[1:]):
+        raise SingularityError(
+            "occupancy requires positive phonon half-widths (gamma1, gamma2) "
+            "unless the zero-width mode is uncoupled and not requested")
+    m = drift_matrix(params).m[np.ix_(keep, keep)]
     eig = np.linalg.eigvals(m)
     slowest = eig[np.argmax(eig.real)]
     if slowest.real >= -_MARGIN_RTOL * np.linalg.norm(m):
@@ -185,7 +184,7 @@ def occupancy(params: SystemParams, mode: int) -> float:
             "drift matrix is not Hurwitz to working precision: marginal "
             f"eigenvalue {slowest:.6g}")
     from scipy.linalg import solve_continuous_lyapunov
-    cov = solve_continuous_lyapunov(m, -np.diag(_noise_densities(p)[keep]))
+    cov = solve_continuous_lyapunov(m, -np.diag(_noise_densities(params)[keep]))
     i = keep.index(mode)
     return float(cov[i, i].real)
 
@@ -194,20 +193,19 @@ def cooling_ratio(params: SystemParams, mode: int) -> float:
     """Steady-state occupancy of the selected mode divided by its thermal
     occupancy; equals 1 without coupling and also gives the final/initial
     temperature ratio in the classical limit."""
-    p = validate(params)
-    nbar = _mode(p, mode)[2]
+    nbar = _mode(params, mode)[2]
     if nbar <= 0:
         raise ValueError(f"cooling ratio undefined: nbar{mode} must be positive")
-    return occupancy(p, mode) / nbar
+    return occupancy(params, mode) / nbar
 
 
 def cooling_ratio_adiabatic(params: SystemParams, mode: int) -> float:
     """Single-mode adiabatic estimate gamma_i / gamma_i_eff with the cavity
     Lorentzian evaluated at the mode's resonance frequency.  Useful as a
     sanity check on the full steady state in the kappa2 >> gamma regime."""
-    p = validate(params)
-    gamma, g, _, res = _mode(p, mode)
-    gamma_eff = gamma + abs(g)**2 * p.kappa2 / (p.kappa2**2 + (p.delta - res)**2)
+    gamma, g, _, res = _mode(params, mode)
+    lor = params.kappa2**2 + (params.delta - res)**2
+    gamma_eff = gamma + abs(g)**2 * params.kappa2 / lor
     if gamma_eff <= 0:
         raise ValueError("effective width must be positive")
     return gamma / gamma_eff
@@ -227,21 +225,20 @@ def save_curve(path, curve: SpectrumCurve, params: SystemParams,
                extra_meta: dict | None = None) -> None:
     """Write a spectrum as CSV (omega_over_kappa2, S) plus a JSON sidecar
     at <path>.meta.json holding the parameters and grid description."""
-    p = validate(params)
     unit = ("dimensionless (gamma*S/(2*nbar))" if curve.normalized
             else "1/(rad/s) in kappa2 units")
     header = (f"kind: {curve.kind}\n"
               f"normalized: {curve.normalized}\n"
               f"columns: omega_over_kappa2, S [{unit}]")
-    _write_columns(path, header, [curve.omegas / p.kappa2, curve.values])
+    _write_columns(path, header, [curve.omegas / params.kappa2, curve.values])
     meta = {
-        "params": params_dict(p),
+        "params": params_dict(params),
         "kind": curve.kind,
         "normalized": curve.normalized,
         "grid": {
             "count": int(curve.omegas.size),
-            "omega_min_over_kappa2": float(curve.omegas[0] / p.kappa2),
-            "omega_max_over_kappa2": float(curve.omegas[-1] / p.kappa2),
+            "omega_min_over_kappa2": float(curve.omegas[0] / params.kappa2),
+            "omega_max_over_kappa2": float(curve.omegas[-1] / params.kappa2),
         },
     }
     if extra_meta:

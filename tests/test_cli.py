@@ -204,6 +204,17 @@ def test_three_wave_trajectory_csv(tmp_path):
     assert np.allclose(a2, 0.5 * np.exp(-data[:, 0]), atol=1e-9)
 
 
+def test_three_wave_sidecar_records_the_time_reached(tmp_path):
+    # round(1.004 / 0.01) = 100 steps: the run ends at t = 1.0, not 1.004
+    out = tmp_path / "tw.csv"
+    assert invoke(["three-wave", "--a1=1.0", "--t-end", "1.004", "--dt", "0.01",
+                   "--output", str(out)]) == 0
+    meta = json.loads((tmp_path / "tw.csv.meta.json").read_text())
+    assert meta["config"]["t-end"] == 1.004
+    assert meta["t_end_reached"] == 1.0
+    assert np.loadtxt(out, delimiter=",")[-1, 0] == 1.0
+
+
 def test_coupling_command_from_mode_files(tmp_path, capsys):
     n = 24
     ax = np.linspace(0.0, 1.0, n)

@@ -1,7 +1,11 @@
+import ast
 import math
+import pathlib
+from dataclasses import replace
 
 import pytest
 
+import phonocool
 from phonocool import (
     ParameterError,
     PhononModeSpec,
@@ -50,6 +54,31 @@ def test_validate_is_idempotent():
     assert validate(validate(p)) == validate(p)
 
 
+# each invalid field with the message validate raises for it
+SYSTEM_INVALID = [
+    ("kappa2", 0.0, "kappa2 must be positive"),
+    ("kappa2", -1.0, "kappa2 must be positive"),
+    *[(name, math.inf, f"{name} must be finite, got inf")
+      for name in ("kappa2", "delta", "omega", "gamma1", "gamma2", "nbar1",
+                   "nbar2")],
+    ("omega", -math.inf, "omega must be finite, got -inf"),
+    ("g1", complex("nan"), "g1 must be finite, got (nan+0j)"),
+    ("g2", complex(0.3, math.inf), "g2 must be finite, got (0.3+infj)"),
+    *[(name, -0.5, f"{name} must be nonnegative")
+      for name in ("gamma1", "gamma2", "nbar1", "nbar2")],
+]
+
+
+@pytest.mark.parametrize("name, value, message", SYSTEM_INVALID)
+def test_system_params_reject_invalid_fields_when_built(name, value, message):
+    with pytest.raises(ParameterError) as built:
+        SystemParams(**{**FIG2, name: value})
+    assert str(built.value) == message
+    with pytest.raises(ParameterError) as replaced:
+        replace(SystemParams(**FIG2), **{name: value})
+    assert str(replaced.value) == message
+
+
 def test_nbar2_defaults_to_nbar1():
     p = SystemParams(kappa2=1.0, nbar1=42.0)
     assert p.nbar2 == 42.0
@@ -91,6 +120,44 @@ def test_three_wave_params_reject_negative_rates():
         validate_three_wave(ThreeWaveParams(kappa1=-1.0, kappa2=1.0, Gamma=0.0))
     with pytest.raises(ParameterError, match="Gamma"):
         validate_three_wave(ThreeWaveParams(kappa1=1.0, kappa2=1.0, Gamma=-0.1))
+
+
+LOSSY = dict(kappa1=0.3, kappa2=1.0, Gamma=0.1, Delta1=0.4, Delta2=-0.25,
+             delta=0.37, beta=0.6 + 0.45j, pump=0.5 - 0.3j)
+THREE_WAVE_INVALID = [
+    *[(name, -0.1, f"{name} must be nonnegative")
+      for name in ("kappa1", "kappa2", "Gamma")],
+    *[(name, math.nan, f"{name} must be finite, got nan")
+      for name in ("kappa1", "kappa2", "Gamma", "Delta1", "Delta2", "delta")],
+    ("beta", complex("inf"), "beta must be finite, got (inf+0j)"),
+    ("pump", complex(0.5, math.nan), "pump must be finite, got (0.5+nanj)"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", THREE_WAVE_INVALID)
+def test_three_wave_params_reject_invalid_fields_when_built(name, value, message):
+    with pytest.raises(ParameterError) as built:
+        ThreeWaveParams(**{**LOSSY, name: value})
+    assert str(built.value) == message
+    with pytest.raises(ParameterError) as replaced:
+        replace(ThreeWaveParams(**LOSSY), **{name: value})
+    assert str(replaced.value) == message
+
+
+def test_only_core_calls_the_parameter_rules():
+    # the parameter types run their rules when built; no other module
+    # re-checks them
+    calls = []
+    for path in pathlib.Path(phonocool.__file__).parent.glob("*.py"):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call)
+                    and getattr(func, "attr", getattr(func, "id", None))
+                    in ("validate", "validate_three_wave")):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 def test_three_wave_state_requires_finite_components():

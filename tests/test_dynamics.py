@@ -104,6 +104,19 @@ def test_detuned_trajectory_matches_adaptive_reference():
     assert np.abs(got - free).max() > 1e-2
 
 
+@pytest.mark.parametrize("delta", [9.0, -9.0])
+def test_large_mismatch_matches_adaptive_reference(delta):
+    # dt*|delta| = 0.09 is just inside the stability guard; the phase
+    # e^{i delta t} is kept in the right-hand side, which at this mismatch
+    # is two orders of magnitude more accurate than integrating a2 in the
+    # frame rotating with delta and rotating back afterwards
+    p = replace(DETUNED, delta=delta)
+    traj = evolve_three_wave(p, DETUNED_INIT, t_end=5.0, dt=0.01)
+    ref = three_wave_reference(p, DETUNED_INIT, traj.t)
+    got = np.column_stack([traj.a1, traj.a2, traj.u])
+    assert np.abs(got - ref).max() < 1e-7
+
+
 def test_decoupled_detuned_amplitudes_follow_closed_forms():
     p = replace(DETUNED, beta=0j)
     traj = evolve_three_wave(p, DETUNED_INIT, t_end=5.0, dt=0.01)
