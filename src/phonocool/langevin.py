@@ -29,8 +29,11 @@ class CovarianceError(RuntimeError):
 
 
 _TRAJ_BATCH = 512  # trajectories propagated per vectorized block
-_WELCH_BATCH = 64  # smaller: the periodogram holds each whole record
-_CHUNK = 1024  # steps drawn and propagated per block
+# smaller: each Welch batch holds batch x (segment_length + _CHUNK) samples
+# and its segment FFTs are batch x segment_length; the spectra's summation
+# order, and so their last bits, depend on it
+_WELCH_BATCH = 64
+_CHUNK = 512  # steps drawn and propagated per block
 # concurrent.futures.ThreadPoolExecutor, imported by the first _propagate
 # call so that no other command pays for it; a module attribute, so it
 # can be replaced
@@ -194,6 +197,14 @@ def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
                        buf[first:k, :hi - lo].transpose(1, 0, 2))
 
 
+def _add_occupancy(sums: np.ndarray, block: np.ndarray) -> None:
+    """Add each trajectory's sums of |b1|^2 and |b2|^2 over a recorded block
+    of _propagate to its row of sums."""
+    a = np.abs(block[..., 1:])
+    a *= a
+    sums += a.sum(axis=1)
+
+
 def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
                       dt: float, burn_in: float, seed: int = 0,
                       dump_dir: str | None = None) -> EnsembleStats:
@@ -220,9 +231,7 @@ def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
         rec = (np.empty((hi - lo, n_rec, 3), dtype=complex)
                if dump_dir is not None else None)
         for off, block in _propagate(e, c, seed, lo, hi, n_burn, n_rec):
-            a = np.abs(block[..., 1:])
-            a *= a
-            sums[lo:hi] += a.sum(axis=1)
+            _add_occupancy(sums[lo:hi], block)
             if rec is not None:
                 rec[:, off:off + block.shape[1]] = block
         if rec is not None:
@@ -286,7 +295,8 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
     segment_length is in samples (default: the whole post-burn-in record,
     one segment per trajectory); segments overlap by the given fraction in
     [0, 1) and are Hann-windowed.  If an omegas grid is supplied, the
-    native FFT bins are linearly interpolated onto it.  t_end and burn_in
+    native FFT bins are linearly interpolated onto it, and each of its
+    points must lie within their range.  t_end and burn_in
     must be whole numbers of steps dt, segment_length a whole number;
     n_traj must be at least 1.
     """
@@ -306,9 +316,20 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
     n_seg = n_rec if segment_length is None else int(segment_length)
     if n_seg < 8 or n_seg > n_rec:
         raise ValueError("segment_length must be in [8, record length]")
+    om_native = 2 * np.pi * np.fft.fftfreq(n_seg, d=dt)
+    order = np.argsort(om_native)
+    if omegas is not None:
+        omegas = np.asarray(omegas, dtype=float)
+        band = om_native.min(), om_native.max()
+        # NaN fails both comparisons
+        if not np.all((omegas >= band[0]) & (omegas <= band[1])):
+            raise ValueError(
+                "omegas must be finite and lie in the native FFT band "
+                f"[{band[0]:.6g}, {band[1]:.6g}] of segment_length {n_seg} "
+                f"and dt {dt:g}")
     _warn_short_burn_in(params, burn_in)
     hop = max(1, int(round(n_seg * (1.0 - overlap))))
-    starts = list(range(0, n_rec - n_seg + 1, hop))
+    starts = range(0, n_rec - n_seg + 1, hop)
 
     win = np.hanning(n_seg)
     wnorm = float((win**2).sum())
@@ -316,37 +337,54 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
 
     s_sum = np.zeros((2, n_seg))
     s_sqsum = np.zeros((2, n_seg))
-    occ_sum = np.zeros(2)
+    sums = np.zeros((n_traj, 2))
     count = 0
+    # record sample t sits at ring[:, t % cap]; a pending segment starts
+    # after end - n_seg, and a block writes at most _CHUNK samples past
+    # end, so no sample is overwritten while a segment still needs it
+    cap = min(n_seg + _CHUNK, n_rec)
     for lo in range(0, n_traj, _WELCH_BATCH):
         hi = min(lo + _WELCH_BATCH, n_traj)
-        rec = np.empty((hi - lo, n_rec, 2), dtype=complex)
+        ring = np.empty((hi - lo, cap, 2), dtype=complex)
+        seg = np.empty((hi - lo, n_seg, 2), dtype=complex)
+        i = 0  # starts[i] is the next segment
         for off, block in _propagate(e, c, seed, lo, hi, n_burn, n_rec):
-            rec[:, off:off + block.shape[1]] = block[..., 1:]
-        occ_sum += np.mean(np.abs(rec)**2, axis=(0, 1)) * (hi - lo)
-        for st in starts:
-            seg = rec[:, st:st + n_seg, :] * win[None, :, None]
-            # FFT with the e^{+i omega t} kernel: N * ifft
-            xf = np.fft.ifft(seg, axis=1) * n_seg
-            pxx = dt * np.abs(xf)**2 / wnorm
-            s_sum += pxx.sum(axis=0).T
-            s_sqsum += (pxx**2).sum(axis=0).T
-            count += hi - lo
+            _add_occupancy(sums[lo:hi], block)
+            end = off + block.shape[1]
+            for r, b in _ring_spans(off, end, cap):
+                ring[:, r] = block[:, b, 1:]
+            # each segment as soon as its last sample is in, in start order
+            while i < len(starts) and starts[i] + n_seg <= end:
+                for r, b in _ring_spans(starts[i], starts[i] + n_seg, cap):
+                    np.multiply(ring[:, r], win[b, None], out=seg[:, b])
+                # FFT with the e^{+i omega t} kernel: N * ifft
+                xf = np.fft.ifft(seg, axis=1) * n_seg
+                pxx = dt * np.abs(xf)**2 / wnorm
+                s_sum += pxx.sum(axis=0).T
+                s_sqsum += (pxx**2).sum(axis=0).T
+                count += hi - lo
+                i += 1
 
     s_mean = s_sum / count
     var = np.clip(s_sqsum / count - s_mean**2, 0.0, None)
     s_err = np.sqrt(var / count)
 
-    om_native = 2 * np.pi * np.fft.fftfreq(n_seg, d=dt)
-    order = np.argsort(om_native)
     curves = [s_mean[0, order], s_mean[1, order],
               s_err[0, order], s_err[1, order]]
     if omegas is None:
         omegas = om_native[order]
     else:
-        omegas = np.asarray(omegas, dtype=float)
         curves = [np.interp(omegas, om_native[order], v) for v in curves]
-    occ = occ_sum / n_traj
+    occ = (sums / n_rec).mean(axis=0)
     return WelchSpectra(omegas, *curves,
                         occupancy_time_avg=(float(occ[0]), float(occ[1])),
                         n_segments=count)
+
+
+def _ring_spans(start: int, stop: int, cap: int):
+    """(ring slice, slice from start) pairs that cover record samples
+    start .. stop - 1 of a ring buffer of cap samples; stop - start <= cap."""
+    p = start % cap
+    m = min(stop - start, cap - p)
+    return ((slice(p, p + m), slice(0, m)),
+            (slice(0, stop - start - m), slice(m, stop - start)))

@@ -11,6 +11,10 @@ trajectory's real normals into complex draws with the plain formula, and
 `reference_batch` shapes a whole batch's draws in one matrix product per
 step, as a kernel that splits that work between threads must reproduce.
 
+`reference_welch` is the whole-record Welch periodogram: each batch of
+trajectories is held whole and cut into segments afterwards, which the
+streaming estimator in phonocool.langevin must reproduce bit for bit.
+
 `time_average` is an exact expectation, not a simulation: the mean and the
 per-trajectory standard deviation of the recorded time average of |b_i|^2,
 from the drift matrix and the noise densities alone.
@@ -65,6 +69,40 @@ def reference_batch(e: np.ndarray, c: np.ndarray, seed: int, lo: int,
         x = shaped[s] + x @ et
         shaped[s] = x
     return shaped[n_burn:, :hi - lo].transpose(1, 0, 2)
+
+
+def reference_welch(records: np.ndarray, dt: float, n_seg: int,
+                    overlap: float, batch: int):
+    """Welch periodogram of b1, b2 in `records` (n_traj, n_rec, 3), batch by
+    batch of `batch` trajectories: every Hann-windowed segment of a batch's
+    whole records, segments `hop` samples apart, transformed with the
+    e^{+i omega t} kernel and summed in start order.  Returns (omegas, s1,
+    s2, s1_stderr, s2_stderr, occupancy, n_segments) on the sorted native
+    bins, occupancy being the mean of |b_i|^2 over every recorded sample."""
+    n_traj, n_rec, _ = records.shape
+    hop = max(1, int(round(n_seg * (1.0 - overlap))))
+    win = np.hanning(n_seg)
+    wnorm = float((win**2).sum())
+    s_sum = np.zeros((2, n_seg))
+    s_sqsum = np.zeros((2, n_seg))
+    occ_sum = np.zeros(2)
+    count = 0
+    for lo in range(0, n_traj, batch):
+        rec = np.ascontiguousarray(records[lo:lo + batch, :, 1:])
+        occ_sum += np.mean(np.abs(rec)**2, axis=(0, 1)) * len(rec)
+        for st in range(0, n_rec - n_seg + 1, hop):
+            seg = rec[:, st:st + n_seg, :] * win[None, :, None]
+            xf = np.fft.ifft(seg, axis=1) * n_seg
+            pxx = dt * np.abs(xf)**2 / wnorm
+            s_sum += pxx.sum(axis=0).T
+            s_sqsum += (pxx**2).sum(axis=0).T
+            count += len(rec)
+    s_mean = s_sum / count
+    s_err = np.sqrt(np.clip(s_sqsum / count - s_mean**2, 0.0, None) / count)
+    om = 2 * np.pi * np.fft.fftfreq(n_seg, d=dt)
+    order = np.argsort(om)
+    return (om[order], s_mean[0, order], s_mean[1, order], s_err[0, order],
+            s_err[1, order], occ_sum / n_traj, count)
 
 
 def time_average(m: np.ndarray, noise: np.ndarray, dt: float, n_burn: int,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -25,7 +26,7 @@ from phonocool import langevin
 from phonocool.langevin import _propagator, _shaping_matrix
 
 from _reference_mc import (reference_batch, reference_draws, reference_record,
-                           time_average)
+                           reference_welch, time_average)
 
 OU = SystemParams(kappa2=1.0, omega=0.1, gamma1=0.05, gamma2=0.05,
                   nbar1=100.0)
@@ -218,6 +219,66 @@ def _propagated(e, c, seed, lo, hi, n_burn, n_rec):
     for off, block in langevin._propagate(e, c, seed, lo, hi, n_burn, n_rec):
         states[:, off:off + block.shape[1]] = block
     return states
+
+
+@pytest.mark.filterwarnings("ignore:burn_in")
+@pytest.mark.parametrize("chunk", [7, 512])  # 7: segments across many seams
+@pytest.mark.parametrize("segment_length", [8, 300, None])
+@pytest.mark.parametrize("overlap", [0.0, 0.3, 0.5, 0.9])
+def test_streamed_welch_is_the_whole_record_reference(overlap, segment_length,
+                                                      chunk, monkeypatch):
+    # 1100 recorded samples after 40 burn-in steps cross the 512-step seams
+    # too; batches of 3, 3 and 1 trajectories
+    monkeypatch.setattr(langevin, "_CHUNK", chunk)
+    monkeypatch.setattr(langevin, "_WELCH_BATCH", 3)
+    p = replace(COUPLED, gamma1=0.25, gamma2=0.25)  # record guard: >= 200
+    dt, n_burn, n_rec, seed = 0.5, 40, 1100, 12
+    w = periodogram(p, n_traj=7, t_end=(n_burn + n_rec) * dt, dt=dt,
+                    burn_in=n_burn * dt, seed=seed,
+                    segment_length=segment_length, overlap=overlap)
+    e, c = _propagator(p, dt)
+    records = _propagated(e, c, seed, 0, 7, n_burn, n_rec)
+    *curves, occ, count = reference_welch(records, dt, segment_length or n_rec,
+                                          overlap, 3)
+    assert w.n_segments == count
+    for name, ref in zip(("omegas", "s1", "s2", "s1_stderr", "s2_stderr"),
+                         curves):
+        assert np.array_equal(getattr(w, name).view(np.uint64),
+                              ref.view(np.uint64)), name
+    np.testing.assert_allclose(w.occupancy_time_avg, occ, rtol=1e-13, atol=0)
+
+
+def _periodogram_peak(n_rec):
+    tracemalloc.start()
+    try:
+        periodogram(OU, n_traj=8, t_end=200.0 + n_rec * 0.5, dt=0.5,
+                    burn_in=200.0, seed=1, segment_length=64)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_periodogram_memory_independent_of_record_length():
+    # the record guard needs 2000 samples; a whole-record buffer of 8
+    # trajectories would grow from 0.5 to 2 MB
+    _periodogram_peak(2000)  # lazy imports are not the estimator's memory
+    short, long = _periodogram_peak(2000), _periodogram_peak(8000)
+    assert long < 1.2 * short, (short, long)
+
+
+@pytest.mark.filterwarnings("ignore:burn_in")
+def test_ensemble_mean_independent_of_chunk_size(monkeypatch):
+    # the states are bitwise the same; the block sums round differently
+    kw = dict(n_traj=5, t_end=1400.0, dt=0.5, burn_in=200.0, seed=9)
+    runs = []
+    for chunk in (7, 512, 1024):
+        monkeypatch.setattr(langevin, "_CHUNK", chunk)
+        runs.append(simulate_ensemble(COUPLED, **kw))
+    for stats in runs[1:]:
+        for name in ("occupancy_mean", "occupancy_stderr"):
+            np.testing.assert_allclose(getattr(stats, name),
+                                       getattr(runs[0], name), rtol=1e-13,
+                                       atol=0)
 
 
 # chunks of 7 steps put seams inside every record below
@@ -461,6 +522,30 @@ def test_periodogram_interpolates_requested_grid():
     assert np.array_equal(w.omegas, grid)
     assert w.curve(1).kind == "phonon1"
     assert w.s1.shape == grid.shape
+
+
+@pytest.mark.parametrize("bad", [6.3, -6.3, 1000.0, float("nan"),
+                                 float("inf")])
+def test_periodogram_rejects_omegas_outside_native_band(bad, monkeypatch):
+    # 256 samples of dt = 0.5: native bins from -pi/dt to pi/dt minus one bin;
+    # np.interp would return the edge value there; burn_in = 10 would warn,
+    # the rejection must come first
+    monkeypatch.setattr(langevin, "_propagator", _no_propagation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"native FFT band \[-6.28319, 6.2341\]"):
+            periodogram(OU, n_traj=2, t_end=1400.0, dt=0.5, burn_in=10.0,
+                        segment_length=256, omegas=[0.0, 5.0, bad])
+
+
+def test_periodogram_accepts_omegas_on_band_edges():
+    kw = dict(n_traj=2, t_end=1400.0, dt=0.5, burn_in=200.0, seed=1,
+              segment_length=256)
+    native = periodogram(OU, **kw)
+    edges = native.omegas[[0, -1]]
+    w = periodogram(OU, omegas=edges, **kw)
+    assert np.array_equal(w.s1, native.s1[[0, -1]])
 
 
 @pytest.mark.parametrize("name", ["t_end", "dt", "burn_in"])
