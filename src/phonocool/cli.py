@@ -477,8 +477,8 @@ def _dispatch(parse) -> int:
                            f"got {args.kappa2_hz!r}")
         COMMANDS[args.command][0](args)
         return 0
-    except (SingularityError, CovarianceError,
-            IntegrationError, np.linalg.LinAlgError) as exc:
+    except (SingularityError, CovarianceError, IntegrationError,
+            ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

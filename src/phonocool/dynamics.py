@@ -44,6 +44,11 @@ class Trajectory:
         _write_columns(path, header, [self.t, self.a1, self.a2, self.u])
 
 
+# RK4 steps whose states are collected in lists and then stored by slice;
+# blocks, not one list for the run, bound the boxed values held at once
+_BLOCK = 1024
+
+
 def evolve_three_wave(params: ThreeWaveParams, init: ThreeWaveState,
                       t_end: float, dt: float) -> Trajectory:
     """Integrate the three-wave amplitude equations with fixed-step RK4.
@@ -56,7 +61,8 @@ def evolve_three_wave(params: ThreeWaveParams, init: ThreeWaveState,
         du/dt  = -Gamma  u - i beta* a1* a2 e^{-i delta t}
 
     A stability guard requires dt * max(rates) < 0.1, where the rate scale
-    includes |beta| times the largest initial amplitude.  The run takes
+    includes |beta| times the largest initial amplitude (a modulus beyond
+    the float range counts as an infinite rate).  The run takes
     round(t_end / dt) steps of dt, so it ends within dt/2 of t_end;
     Trajectory.t records the times actually reached; dt must be finite
     and positive, t_end finite and nonnegative.
@@ -68,46 +74,71 @@ def evolve_three_wave(params: ThreeWaveParams, init: ThreeWaveState,
             f"t_end must be finite and nonnegative, got {t_end!r}")
     k1c, k2c, G = params.kappa1, params.kappa2, params.Gamma
     b, delta = params.beta, params.delta
-    amp = max(abs(init.a1), abs(init.a2), abs(init.u), abs(params.pump))
-    rate = max(k1c, k2c, G, abs(params.Delta1), abs(params.Delta2), abs(delta),
-               abs(b) * amp)
+    try:
+        amp = max(abs(init.a1), abs(init.a2), abs(init.u), abs(params.pump))
+        rate = max(k1c, k2c, G, abs(params.Delta1), abs(params.Delta2),
+                   abs(delta), abs(b) * amp)
+    except OverflowError:  # a modulus beyond the float range
+        rate = np.inf
     if dt * rate >= 0.1:
         raise IntegrationError(
             f"stability guard violated: dt*max(rates) = {dt * rate:.3g} >= 0.1")
 
     n_steps = int(round(t_end / dt))
     t = np.arange(n_steps + 1) * dt
-    a1 = np.empty(n_steps + 1, dtype=complex)
-    a2 = np.empty(n_steps + 1, dtype=complex)
-    u = np.empty(n_steps + 1, dtype=complex)
-    a1[0], a2[0], u[0] = init.a1, init.a2, init.u
+    ys = np.empty((3, n_steps + 1), dtype=complex)
+    y1, y2, yu = complex(init.a1), complex(init.a2), complex(init.u)
+    ys[:, 0] = y1, y2, yu
 
-    iD1, iD2, bc = 1j * params.Delta1, 1j * params.Delta2, b.conjugate()
+    # constants of the right-hand side, bound once; the four stages keep one
+    # evaluation order and grouping, as regrouping any of them changes the
+    # trajectory's last bits
+    mk1, mk2, mG = -k1c, -k2c, -G
+    iD1, iD2 = 1j * params.Delta1, 1j * params.Delta2
+    ib, ibc, idelta = 1j * b, 1j * b.conjugate(), 1j * delta
     drive = k1c * params.pump
-
-    def rhs(ti, y1, y2, yu):
-        ph = cmath.exp(1j * delta * ti)
-        d2 = -k2c * y2 - iD2 * y2 - 1j * b * yu * y1 * ph
-        d1 = -k1c * y1 + drive - iD1 * y1 - 1j * bc * yu.conjugate() * y2 / ph
-        du = -G * yu - 1j * bc * y1.conjugate() * y2 / ph
-        return d1, d2, du
-
+    exp = cmath.exp
     half = 0.5 * dt
     sixth = dt / 6.0
-    y1, y2, yu = complex(init.a1), complex(init.a2), complex(init.u)
-    for n in range(n_steps):
-        tn = n * dt
-        p1, p2, pu = rhs(tn, y1, y2, yu)
-        q1, q2, qu = rhs(tn + half, y1 + half * p1, y2 + half * p2, yu + half * pu)
-        r1, r2, ru = rhs(tn + half, y1 + half * q1, y2 + half * q2, yu + half * qu)
-        s1, s2, su = rhs(tn + dt, y1 + dt * r1, y2 + dt * r2, yu + dt * ru)
-        y1 += sixth * (p1 + 2 * q1 + 2 * r1 + s1)
-        y2 += sixth * (p2 + 2 * q2 + 2 * r2 + s2)
-        yu += sixth * (pu + 2 * qu + 2 * ru + su)
-        a1[n + 1], a2[n + 1], u[n + 1] = y1, y2, yu
-        if not (cmath.isfinite(y1) and cmath.isfinite(y2) and cmath.isfinite(yu)):
-            raise IntegrationError(f"non-finite state at t = {tn + dt:.6g}")
-    return Trajectory(t=t, a1=a1, a2=a2, u=u)
+    for lo in range(0, n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps)
+        o1, o2, ou = [], [], []
+        put1, put2, putu = o1.append, o2.append, ou.append
+        for n in range(lo, hi):
+            tn = n * dt
+            ph = exp(idelta * tn)
+            p1 = mk1 * y1 + drive - iD1 * y1 - ibc * yu.conjugate() * y2 / ph
+            p2 = mk2 * y2 - iD2 * y2 - ib * yu * y1 * ph
+            pu = mG * yu - ibc * y1.conjugate() * y2 / ph
+            x1, x2, xu = y1 + half * p1, y2 + half * p2, yu + half * pu
+            ph = exp(idelta * (tn + half))
+            q1 = mk1 * x1 + drive - iD1 * x1 - ibc * xu.conjugate() * x2 / ph
+            q2 = mk2 * x2 - iD2 * x2 - ib * xu * x1 * ph
+            qu = mG * xu - ibc * x1.conjugate() * x2 / ph
+            x1, x2, xu = y1 + half * q1, y2 + half * q2, yu + half * qu
+            r1 = mk1 * x1 + drive - iD1 * x1 - ibc * xu.conjugate() * x2 / ph
+            r2 = mk2 * x2 - iD2 * x2 - ib * xu * x1 * ph
+            ru = mG * xu - ibc * x1.conjugate() * x2 / ph
+            x1, x2, xu = y1 + dt * r1, y2 + dt * r2, yu + dt * ru
+            ph = exp(idelta * (tn + dt))
+            s1 = mk1 * x1 + drive - iD1 * x1 - ibc * xu.conjugate() * x2 / ph
+            s2 = mk2 * x2 - iD2 * x2 - ib * xu * x1 * ph
+            su = mG * xu - ibc * x1.conjugate() * x2 / ph
+            y1 += sixth * (p1 + 2 * q1 + 2 * r1 + s1)
+            y2 += sixth * (p2 + 2 * q2 + 2 * r2 + s2)
+            yu += sixth * (pu + 2 * qu + 2 * ru + su)
+            put1(y1)
+            put2(y2)
+            putu(yu)
+        block = ys[:, lo + 1:hi + 1]
+        block[0], block[1], block[2] = o1, o2, ou
+        # a non-finite state stays non-finite, so the first one is the
+        # first step that failed
+        bad = ~np.isfinite(block).all(axis=0)
+        if bad.any():
+            n = lo + int(bad.argmax())
+            raise IntegrationError(f"non-finite state at t = {n * dt + dt:.6g}")
+    return Trajectory(t=t, a1=ys[0], a2=ys[1], u=ys[2])
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +208,18 @@ def adiabatic_reduce(params: SystemParams) -> AdiabaticReduction:
             "adiabatic elimination assumes kappa2 >> gamma_i; "
             f"kappa2 = {params.kappa2:g} vs max gamma = "
             f"{max(params.gamma1, params.gamma2):g}", stacklevel=2)
-    pole = params.kappa2 + 1j * params.delta
-    bare = np.diag([-1j * params.omega - params.gamma1,
-                    1j * params.omega - params.gamma2]).astype(complex)
-    g = np.array([params.g1, params.g2])
-    induced = np.outer(np.conj(g), g) / pole
+    # the scalar rates first: a |g|^2 beyond the float range raises
+    # OverflowError here, before numpy warns on the matrix
     lor = params.kappa2**2 + params.delta**2
     gamma_eff = (params.gamma1 + abs(params.g1)**2 * params.kappa2 / lor,
                  params.gamma2 + abs(params.g2)**2 * params.kappa2 / lor)
     omega_shift = (-params.delta * abs(params.g1)**2 / lor,
                    -params.delta * abs(params.g2)**2 / lor)
+    pole = params.kappa2 + 1j * params.delta
+    bare = np.diag([-1j * params.omega - params.gamma1,
+                    1j * params.omega - params.gamma2]).astype(complex)
+    g = np.array([params.g1, params.g2])
+    induced = np.outer(np.conj(g), g) / pole
     return AdiabaticReduction(
         matrix=bare - induced,
         gamma_eff=gamma_eff,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -507,6 +508,24 @@ def assert_rejected(argv, name, out, capsys, code):
     assert name in err
     assert not out.exists()
     assert not out.with_name(out.name + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "antistokes", "collective"])
+def test_overflowing_coupling_is_a_numerical_failure(command, tmp_path,
+                                                     capsys):
+    # |g1|^2 leaves the float range: exit 2, no traceback and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_rejected([command, "--g1", "1e200", "--gamma1", "0.01",
+                         "--nbar1", "1"], "", tmp_path / "out.csv", capsys, 2)
+
+
+def test_three_wave_overflowing_amplitude_violates_the_guard(tmp_path,
+                                                            capsys):
+    # |a1| overflows although a1 is finite: an infinite rate for the guard
+    assert_rejected(["three-wave", "--a1=1.7e308+1.7e308j", "--t-end", "1",
+                     "--dt", "0.01"], "stability guard violated",
+                    tmp_path / "tw.csv", capsys, 2)
 
 
 def flag_name(flag):

@@ -1,3 +1,6 @@
+import cmath
+import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +19,7 @@ from phonocool import (
     evolve_three_wave,
 )
 
-from _three_wave_reference import three_wave_reference
+from _three_wave_reference import rk4_reference, three_wave_reference
 
 FIG2 = SystemParams(kappa2=1.0, delta=0.0, omega=0.1, gamma1=0.01,
                     gamma2=0.01, g1=0.3, g2=0.5, nbar1=100.0)
@@ -139,6 +142,79 @@ def test_mismatch_is_a2_detuning_in_a_rotating_frame():
     assert np.abs(mismatched.a1 - rotated.a1).max() < 1e-9
     assert np.abs(mismatched.a2 - rotated.a2 * phase).max() < 1e-9
     assert np.abs(mismatched.u - rotated.u).max() < 1e-9
+
+
+# README's lossy configuration, from rest and from nonzero amplitudes
+README = ThreeWaveParams(kappa1=0.3, kappa2=1.0, Gamma=0.05, beta=0.5,
+                         pump=1.0)
+AT_REST = ThreeWaveState(a1=0, a2=0, u=0)
+LOSSY_INIT = ThreeWaveState(a1=0.6 - 0.3j, a2=-0.2 + 0.5j, u=1.1 + 0.7j)
+
+
+def assert_bitwise(traj, ref):
+    for got, want in zip((traj.t, traj.a1, traj.a2, traj.u), ref):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("params, init, t_end, dt", [
+    (README, AT_REST, 50.0, 0.01),
+    (README, LOSSY_INIT, 50.0, 0.01),
+    (DETUNED, DETUNED_INIT, 5.0, 0.01),
+    (replace(DETUNED, delta=9.0), DETUNED_INIT, 5.0, 0.01),
+    (replace(DETUNED, delta=-9.0), DETUNED_INIT, 5.0, 0.01),
+    (DETUNED, DETUNED_INIT, 3.0037, 0.01),  # not a whole number of steps
+    (DETUNED, DETUNED_INIT, 0.0, 0.01),
+])
+def test_inlined_kernel_is_bitwise_the_stepwise_rk4(params, init, t_end, dt):
+    assert_bitwise(evolve_three_wave(params, init, t_end=t_end, dt=dt),
+                   rk4_reference(params, init, t_end, dt))
+
+
+@pytest.mark.parametrize("block", [1, 7, 500])
+def test_kernel_is_bitwise_the_stepwise_rk4_across_blocks(block, monkeypatch):
+    monkeypatch.setattr(dynamics, "_BLOCK", block)
+    # 500 steps: 500 blocks of one, a partial last block of 3, exactly one
+    assert_bitwise(evolve_three_wave(DETUNED, DETUNED_INIT, t_end=5.0,
+                                     dt=0.01),
+                   rk4_reference(DETUNED, DETUNED_INIT, 5.0, 0.01))
+
+
+def poison_phase(monkeypatch, step):
+    """Make the phase of the first stage of RK4 step `step` (0-based) NaN,
+    so the state first turns non-finite at sample step + 1.  The kernel
+    evaluates the phase three times per step: at tn, tn + dt/2, tn + dt."""
+    calls, exp = itertools.count(), cmath.exp
+    monkeypatch.setattr(cmath, "exp", lambda z: complex("nan")
+                        if next(calls) == 3 * step else exp(z))
+
+
+@pytest.mark.parametrize("block, step", [
+    (dynamics._BLOCK, 0),
+    (dynamics._BLOCK, 123),  # inside the first block
+    (8, 21),                 # inside the third block
+    (8, 16),                 # first step of the third block
+    (8, 499),                # the last step, in a partial block
+])
+def test_non_finite_state_reports_the_first_bad_sample(block, step,
+                                                       monkeypatch):
+    monkeypatch.setattr(dynamics, "_BLOCK", block)
+    poison_phase(monkeypatch, step)
+    dt = 0.01
+    message = f"non-finite state at t = {step * dt + dt:.6g}"
+    with pytest.raises(IntegrationError, match=f"^{re.escape(message)}$"):
+        evolve_three_wave(DETUNED, DETUNED_INIT, t_end=5.0, dt=dt)
+
+
+@pytest.mark.parametrize("field", ["a1", "a2", "u", "pump"])
+def test_overflowing_modulus_violates_the_stability_guard(field):
+    huge = complex(1.7e308, 1.7e308)  # finite, but its modulus overflows
+    params = replace(DETUNED, pump=huge) if field == "pump" else DETUNED
+    init = (DETUNED_INIT if field == "pump"
+            else replace(DETUNED_INIT, **{field: huge}))
+    with pytest.raises(IntegrationError,
+                       match=r"stability guard violated: .* = inf >= 0\.1"):
+        evolve_three_wave(params, init, t_end=1.0, dt=0.01)
 
 
 # ---------------------------------------------------------------------------
