@@ -13,6 +13,7 @@ it drives the parser, run(RunConfig) and every sidecar's "config" block.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import numbers
 import sys
@@ -81,23 +82,25 @@ def _command_at(argv: list[str]) -> int:
 
 def _expand_config(argv: list[str]) -> list[str]:
     """Replace --config FILE with the flags it defines; explicit flags win
-    because they come later on the resulting command line."""
+    because they come later on the resulting command line.  At most one
+    --config is accepted."""
     out: list[str] = []
     cfg_path = None
     i = 0
     while i < len(argv):
         a = argv[i]
-        if a == "--config":
-            if i + 1 >= len(argv):
-                raise CliError("--config needs a file argument")
-            cfg_path = argv[i + 1]
-            i += 2
-            continue
-        if a.startswith("--config="):
-            cfg_path = a.split("=", 1)[1]
-            i += 1
-            continue
-        out.append(a)
+        if a == "--config" or a.startswith("--config="):
+            if cfg_path is not None:
+                raise CliError("--config may be given only once")
+            if a == "--config":
+                if i + 1 >= len(argv):
+                    raise CliError("--config needs a file argument")
+                i += 1
+                cfg_path = argv[i]
+            else:
+                cfg_path = a.split("=", 1)[1]
+        else:
+            out.append(a)
         i += 1
     if cfg_path is None:
         return out
@@ -391,10 +394,12 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The phonocool parser.  When `command` names a command, only its
-    subparser is registered, with its flags; otherwise (None, or any other
-    text) every command is registered with its help text and flags, so
-    top-level help and the error for an unknown name list them all."""
+    """A new phonocool parser, the caller's to keep or change.  When
+    `command` names a command, only its subparser is registered, with its
+    flags; otherwise (None, or any other text) every command is registered
+    with its help text and flags, so top-level help and the error for an
+    unknown name list them all.  `main` does not use the parsers this
+    returns: it builds its own once per process."""
     parser = _Parser(prog="phonocool",
                      description="Phonon cooling spectra, dynamics, and "
                                  "Monte Carlo (all rates in kappa2 units)")
@@ -408,6 +413,14 @@ def build_parser(command: str | None = None) -> _Parser:
         for option, kwargs in flags:
             p.add_argument(option, **kwargs)
     return parser
+
+
+@functools.cache
+def _parser(command: str | None) -> _Parser:
+    """build_parser(command), built once per process for `main`, keyed by
+    a command name or None.  parse_args leaves a parser unchanged, and help
+    reads the terminal width when it is printed, not when it is built."""
+    return build_parser(command)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +481,20 @@ def _resolve(config: RunConfig) -> argparse.Namespace:
     return argparse.Namespace(command=config.command, **values)
 
 
+# a builtin arithmetic error's text is the platform's (an errno tuple for a
+# float overflow), so it is described by its type instead
+_ARITHMETIC = {OverflowError: "a value left the float range",
+               ZeroDivisionError: "a division by zero",
+               FloatingPointError: "a floating-point operation failed"}
+
+
+def _failure(exc: Exception) -> str:
+    if isinstance(exc, ArithmeticError):
+        return next((text for kind, text in _ARITHMETIC.items()
+                     if isinstance(exc, kind)), "an arithmetic error")
+    return str(exc)
+
+
 def _dispatch(parse) -> int:
     """Run the command of the namespace that `parse()` returns."""
     try:
@@ -475,12 +502,14 @@ def _dispatch(parse) -> int:
         if args.kappa2_hz is not None and not 0 < args.kappa2_hz < np.inf:
             raise CliError("kappa2-hz must be finite and positive, "
                            f"got {args.kappa2_hz!r}")
-        COMMANDS[args.command][0](args)
+        try:
+            COMMANDS[args.command][0](args)
+        except (SingularityError, CovarianceError, IntegrationError,
+                ArithmeticError, np.linalg.LinAlgError) as exc:
+            print(f"numerical failure: {args.command}: {_failure(exc)}",
+                  file=sys.stderr)
+            return 2
         return 0
-    except (SingularityError, CovarianceError, IntegrationError,
-            ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -493,12 +522,17 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Parse `argv` (default: the process arguments) and run its command;
+    returns the exit status as `run` does.  The parser of the invoked
+    command is built on the first call that names it and reused after."""
     argv = list(sys.argv[1:] if argv is None else argv)
 
     def parse():
         expanded = _expand_config(argv)
         # a command not in first place (after -h, say) gets the full parser
-        return build_parser(next(iter(expanded), None)).parse_args(expanded)
+        command = next(iter(expanded), None)
+        key = command if command in COMMANDS else None
+        return _parser(key).parse_args(expanded)
 
     return _dispatch(parse)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import phonocool
-from phonocool import (SystemParams, cooling_ratio, occupancy, phonon_spectrum,
-                       plane_wave, save_mode_field)
+from phonocool import (SystemParams, cli, cooling_ratio, occupancy,
+                       phonon_spectrum, plane_wave, save_mode_field, spectra)
 from phonocool.cli import (COMMANDS, CliError, RunConfig, _expand_config,
                            build_parser, main, run)
 from phonocool.core import _write_json
@@ -528,6 +529,42 @@ def test_three_wave_overflowing_amplitude_violates_the_guard(tmp_path,
                     tmp_path / "tw.csv", capsys, 2)
 
 
+@pytest.mark.parametrize("command", ["spectrum", "collective"])
+def test_arithmetic_failure_line_names_command_and_failure(command, tmp_path,
+                                                           capsys):
+    # the errno text of the OverflowError is the platform's; the line is not
+    argv = [command, "--g1", "1e200", "--gamma1", "0.01", "--nbar1", "1",
+            "--output", str(tmp_path / "out")]
+    assert invoke(argv) == 2
+    assert capsys.readouterr().err == (f"numerical failure: {command}: "
+                                       "a value left the float range\n")
+    config = RunConfig(command, {"g1": 1e200, "gamma1": 0.01, "nbar1": 1.0,
+                                 "output": str(tmp_path / "out")})
+    assert run(config) == 2
+    assert capsys.readouterr().err == (f"numerical failure: {command}: "
+                                       "a value left the float range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc, text", [
+    (OverflowError(34, "Numerical result out of range"),
+     "a value left the float range"),
+    (ZeroDivisionError("float division by zero"), "a division by zero"),
+    (FloatingPointError("overflow encountered"),
+     "a floating-point operation failed"),
+    (ArithmeticError("other"), "an arithmetic error"),
+    (spectra.SingularityError("occupancy diverges"), "occupancy diverges"),
+    (np.linalg.LinAlgError("Singular matrix"), "Singular matrix")])
+def test_numerical_failure_line_names_the_command(exc, text, monkeypatch,
+                                                  capsys):
+    def fail(params, mode):
+        raise exc
+    monkeypatch.setattr(spectra, "cooling_ratio", fail)
+    assert invoke(["cooling-ratio", "--gamma1", "0.01"]) == 2
+    assert (capsys.readouterr().err
+            == f"numerical failure: cooling-ratio: {text}\n")
+
+
 def flag_name(flag):
     return flag[2:].split("=")[0].replace("-", "_")
 
@@ -738,6 +775,129 @@ def test_config_switch_values(text, normalized, tmp_path):
     config = json.loads((tmp_path / "s.csv.meta.json").read_text())["config"]
     assert config["normalized"] is normalized
     assert "nbar2" not in config  # null leaves the flag unset
+
+
+@pytest.mark.parametrize("second", ["--config", "--config="])
+@pytest.mark.parametrize("first", ["--config", "--config="])
+def test_config_given_twice_is_rejected(first, second, tmp_path, capsys):
+    configs = []
+    for name, g1 in (("a.cfg", "0.3"), ("b.cfg", "0.5")):
+        cfg = tmp_path / name
+        cfg.write_text(f"g1 = {g1}\ngamma1 = 0.01\ngamma2 = 0.01\n")
+        configs.append(str(cfg))
+    argv = ["cooling-ratio"]
+    for form, cfg in zip((first, second), configs):
+        argv += [form + cfg] if form.endswith("=") else [form, cfg]
+    assert_rejected(argv, "--config", tmp_path / "out.csv", capsys, 1)
+
+
+# ---------------------------------------------------------------------------
+# main builds each command's parser once per process and reuses it; the
+# reused parser parses, fails and helps as a fresh one does
+
+REUSE_ARGV = ["cooling-ratio", *ROUND_TRIP["cooling-ratio"][0],
+              "--output", "out"]
+
+
+@pytest.fixture
+def fresh_parsers():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_each_parser_once(fresh_parsers, tmp_path, monkeypatch,
+                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    built = []
+
+    def counting(command=None):
+        built.append(command)
+        return build_parser(command)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(5):
+        assert main(REUSE_ARGV) == 0
+    assert built == ["cooling-ratio"]
+    # any text that is not a command shares the one full parser
+    for argv in (["no-such-command"], ["other"], ["--g1", "0.3"]):
+        assert main(argv) == 1
+    assert main(["spectrum", "--gamma1", "0.01", "--gamma2", "0.01",
+                 "--count", "3", "--output", "s"]) == 0
+    assert built == ["cooling-ratio", None, "spectrum"]
+    assert cli._parser.cache_info().currsize == 3
+
+
+@pytest.mark.parametrize("bad", [
+    ["--no-such-flag", "1"], ["--mode", "3"], ["--g1", "x"],
+    ["--g1", "0.7", "--nbar1"],
+    ["--omega", "0.4", "--mode", "3", "--normalized"]])
+def test_failed_parse_leaves_the_reused_parser_unchanged(bad, fresh_parsers,
+                                                          tmp_path, monkeypatch,
+                                                          capsys):
+    outputs = []
+    for name, calls in (("alone", [REUSE_ARGV]),
+                        ("after", [["cooling-ratio", *bad], REUSE_ARGV])):
+        cli._parser.cache_clear()
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        codes = [main(argv) for argv in calls]
+        out = capsys.readouterr().out
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        outputs.append((codes[-1], out, files))
+        assert codes[:-1] == [1] * (len(calls) - 1)
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0][2]) == ["out", "out.meta.json"]
+
+
+def help_text(parse, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(["cooling-ratio", "-h"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_is_a_fresh_parsers_before_and_after_reuse(fresh_parsers,
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = help_text(build_parser().parse_args, capsys)
+    assert help_text(main, capsys) == fresh
+    assert main(REUSE_ARGV) == 0
+    capsys.readouterr()
+    assert help_text(main, capsys) == fresh
+    # the width is read when help is printed, not when the parser is built
+    texts = {}
+    for columns in (50, 150):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        texts[columns] = help_text(main, capsys)
+        assert texts[columns] == help_text(build_parser().parse_args, capsys)
+    assert (texts[50].count("\n") > fresh.count("\n")
+            > texts[150].count("\n"))
+
+
+def subparser(parser, command):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+@pytest.mark.parametrize("command, argv", [
+    (None, ["--extra", "1", "cooling-ratio", "--gamma1", "0.01"]),
+    ("cooling-ratio", ["cooling-ratio", "--gamma1", "0.01", "--extra", "1"])])
+def test_changing_a_built_parser_leaves_main_unchanged(command, argv,
+                                                       fresh_parsers, capsys):
+    assert main(argv) == 1  # main's parser exists from here on
+    rejected = capsys.readouterr().err
+    parser = build_parser(command)
+    target = parser if command is None else subparser(parser, command)
+    target.add_argument("--extra")
+    assert parser.parse_args(argv).extra == "1"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == rejected
+    cli._parser.cache_clear()
+    assert main(argv) == 1  # nor what a parser built after it accepts
+    assert capsys.readouterr().err == rejected
 
 
 # ---------------------------------------------------------------------------
