@@ -156,12 +156,9 @@ def _meta(args, **extra) -> dict:
     }
 
 
-def _write_sidecar(args, **extra) -> None:
-    _write_json(f"{args.output}.meta.json", _meta(args, **extra))
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its output file and returns the fields its sidecar
+# adds, or returns None when it wrote no file
 
 
 def _grid(args) -> np.ndarray:
@@ -170,22 +167,20 @@ def _grid(args) -> np.ndarray:
     return np.linspace(args.omega_min, args.omega_max, args.count)
 
 
-def cmd_spectrum(args) -> None:
+def cmd_spectrum(args) -> dict:
     params = _build_params(args)
     curve = spectra.phonon_spectrum(params, args.mode, _grid(args),
                                     normalized=args.normalized)
-    spectra.save_curve(args.output, curve, params, extra_meta=_meta(args))
-    print(f"wrote {args.output}")
+    return spectra.save_curve(args.output, curve, params)
 
 
-def cmd_antistokes(args) -> None:
+def cmd_antistokes(args) -> dict:
     params = _build_params(args)
     curve = spectra.antistokes_spectrum(params, _grid(args))
-    spectra.save_curve(args.output, curve, params, extra_meta=_meta(args))
-    print(f"wrote {args.output}")
+    return spectra.save_curve(args.output, curve, params)
 
 
-def cmd_cooling_ratio(args) -> None:
+def cmd_cooling_ratio(args) -> dict | None:
     params = _build_params(args)
     ratio = spectra.cooling_ratio(params, args.mode)
     print(f"R={ratio:.3f}")
@@ -193,24 +188,21 @@ def cmd_cooling_ratio(args) -> None:
         _write_columns(args.output,
                        "columns: mode, cooling_ratio (dimensionless)",
                        [np.array([float(args.mode)]), np.array([ratio])])
-        _write_sidecar(args, cooling_ratio=ratio)
+        return {"cooling_ratio": ratio}
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args) -> dict | None:
     params = _build_params(args)
     print(f"seed={args.seed}")
     stats = simulate_ensemble(params, n_traj=args.n_traj, t_end=args.t_end,
                               dt=args.dt, burn_in=args.burn_in,
                               seed=args.seed, dump_dir=args.dump_dir)
-    if args.output:
-        _write_json(args.output, asdict(stats))
-        _write_sidecar(args)
-        print(f"wrote {args.output}")
-    else:
-        print(stats.to_json())
+    # without --output the stats record goes to stdout, in the same form
+    _write_json(args.output or sys.stdout, asdict(stats))
+    return {} if args.output else None
 
 
-def cmd_sweep(args) -> None:
+def cmd_sweep(args) -> dict:
     if args.count < 2:
         raise CliError("sweep needs --count of at least 2")
     _build_params(args)
@@ -228,11 +220,10 @@ def cmd_sweep(args) -> None:
     _write_columns(args.output, f"columns: {args.axis} [kappa2 units], "
                                 f"{name}_mode{mode} (dimensionless)",
                    [values, results])
-    _write_sidecar(args)
-    print(f"wrote {args.output}")
+    return {}
 
 
-def cmd_collective(args) -> None:
+def cmd_collective(args) -> dict | None:
     params = _build_params(args)
     modes = collective_rates(params)
     print(f"labeling={modes.labeling}")
@@ -247,11 +238,10 @@ def cmd_collective(args) -> None:
             "vec_minus": [[c.real, c.imag] for c in modes.vec_minus],
         }
         _write_json(args.output, payload)
-        _write_sidecar(args)
-        print(f"wrote {args.output}")
+        return {}
 
 
-def cmd_three_wave(args) -> None:
+def cmd_three_wave(args) -> dict:
     init = ThreeWaveState(a1=args.a1, a2=args.a2, u=args.u)
     params = ThreeWaveParams(
         kappa1=args.kappa1, kappa2=1.0, Gamma=args.gamma,
@@ -260,11 +250,10 @@ def cmd_three_wave(args) -> None:
     traj = evolve_three_wave(params, init, t_end=args.t_end, dt=args.dt)
     traj.save_csv(args.output, time_unit="1/kappa2")
     # the run takes whole steps of dt, so it may end short of or past t_end
-    _write_sidecar(args, t_end_reached=float(traj.t[-1]))
-    print(f"wrote {args.output}")
+    return {"t_end_reached": float(traj.t[-1])}
 
 
-def cmd_coupling(args) -> None:
+def cmd_coupling(args) -> dict | None:
     flags = (args.periodic_x, args.periodic_y, args.periodic_z)
     phi1 = load_mode_field(args.phi1, periodic=flags)
     phi2 = load_mode_field(args.phi2, periodic=flags)
@@ -282,8 +271,7 @@ def cmd_coupling(args) -> None:
             args.output,
             "columns: Re(beta), Im(beta) [rad/s for unit-amplitude modes]",
             [np.array([beta])])
-        _write_sidecar(args)
-        print(f"wrote {args.output}")
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +484,25 @@ def _failure(exc: Exception) -> str:
 
 
 def _dispatch(parse) -> int:
-    """Run the command of the namespace that `parse()` returns."""
+    """Run the command of the namespace that `parse()` returns.  A command
+    that wrote its output file returns the fields its sidecar adds; this is
+    the one place that writes a sidecar, <output>.meta.json, as
+    _meta(args, **record), and then prints `wrote <output>`."""
     try:
         args = parse()
         if args.kappa2_hz is not None and not 0 < args.kappa2_hz < np.inf:
             raise CliError("kappa2-hz must be finite and positive, "
                            f"got {args.kappa2_hz!r}")
         try:
-            COMMANDS[args.command][0](args)
+            record = COMMANDS[args.command][0](args)
         except (SingularityError, CovarianceError, IntegrationError,
                 ArithmeticError, np.linalg.LinAlgError) as exc:
             print(f"numerical failure: {args.command}: {_failure(exc)}",
                   file=sys.stderr)
             return 2
+        if record is not None:
+            _write_json(f"{args.output}.meta.json", _meta(args, **record))
+            print(f"wrote {args.output}")
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -175,12 +175,16 @@ class ThreeWaveState:
 # written records
 
 
-def _write_json(path, obj) -> None:
-    """Write obj as standard JSON (no NaN or Infinity) with indent 2,
-    sorted keys and a final newline; nothing is written if obj cannot be."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _write_json(file, obj) -> None:
+    """Write obj to a path or an open text stream as standard JSON (no NaN
+    or Infinity) with indent 2, sorted keys and a final newline; nothing is
+    written if obj cannot be."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if hasattr(file, "write"):
+        file.write(text)
+    else:
+        with open(file, "w") as fh:
+            fh.write(text)
 
 
 # columnar text files

@@ -22,7 +22,8 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled three-wave trajectory; behaves as a sequence of ThreeWaveState."""
+    """Sampled three-wave trajectory: the times reached and the amplitudes
+    a1, a2, u at each of them, as arrays of equal length."""
 
     t: np.ndarray
     a1: np.ndarray
@@ -31,12 +32,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def __getitem__(self, i) -> ThreeWaveState:
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return ThreeWaveState(a1=self.a1[i], a2=self.a2[i], u=self.u[i],
-                              t=float(self.t[i]))
 
     def save_csv(self, path, time_unit: str = "s") -> None:
         header = (f"time unit: {time_unit}; amplitudes dimensionless\n"
@@ -259,7 +254,8 @@ _TIE_TOL = 1e-9  # relative: below it, couplings vanish and values tie
 
 def collective_rates(params: SystemParams) -> CollectiveModes:
     """Diagonalize the adiabatically reduced drift and identify the
-    super-radiant (+) and sub-radiant (-) collective modes."""
+    super-radiant (+) and sub-radiant (-) collective modes.  Raises
+    OverflowError when a rate or eigenvector leaves the float range."""
     m = adiabatic_reduce(params).matrix
     scale = max(np.abs(m).max(), 1e-300)
     ip, im_ = 0, 1
@@ -279,6 +275,10 @@ def collective_rates(params: SystemParams) -> CollectiveModes:
         else:
             labeling = "collective"
             ip, im_ = (0, 1) if s01 > s10 else (1, 0)
+    # a finite drift near the float limit can still have an infinite
+    # eigenvalue
+    if not (np.isfinite(w).all() and np.isfinite(vecs).all()):
+        raise OverflowError("collective rates left the float range")
     return CollectiveModes(
         rate_plus=-w[ip], rate_minus=-w[im_],
         vec_plus=vecs[ip], vec_minus=vecs[im_],

@@ -13,10 +13,9 @@ channel carries zero.
 """
 from __future__ import annotations
 
-import json
 import os
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,16 +60,6 @@ class EnsembleStats:
     def __post_init__(self):
         if self.n_traj < 2:
             raise ValueError("n_traj must be at least 2")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnsembleStats":
-        d = json.loads(text)
-        d["occupancy_mean"] = tuple(d["occupancy_mean"])
-        d["occupancy_stderr"] = tuple(d["occupancy_stderr"])
-        return cls(**d)
 
 
 def step_covariance(params: SystemParams, dt: float) -> np.ndarray:
@@ -275,15 +264,6 @@ class WelchSpectra:
     s2_stderr: np.ndarray
     occupancy_time_avg: tuple[float, float]
     n_segments: int
-
-    def curve(self, mode: int):
-        from .spectra import SpectrumCurve
-        if mode not in (1, 2):
-            raise ValueError("mode must be 1 or 2")
-        values = self.s1 if mode == 1 else self.s2
-        return SpectrumCurve(omegas=self.omegas,
-                             values=np.clip(values, 0.0, None),
-                             kind=f"phonon{mode}")
 
 
 def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,

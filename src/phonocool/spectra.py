@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import SystemParams, _write_columns, _write_json
+from .core import SystemParams, _write_columns
 from .dynamics import _noise_densities, drift_matrix
 
 
@@ -221,17 +221,17 @@ def params_dict(params: SystemParams) -> dict:
             for name, v in asdict(params).items()}
 
 
-def save_curve(path, curve: SpectrumCurve, params: SystemParams,
-               extra_meta: dict | None = None) -> None:
-    """Write a spectrum as CSV (omega_over_kappa2, S) plus a JSON sidecar
-    at <path>.meta.json holding the parameters and grid description."""
+def save_curve(path, curve: SpectrumCurve, params: SystemParams) -> dict:
+    """Write a spectrum as CSV (omega_over_kappa2, S) and return the
+    curve's record: the parameters, kind, normalization and grid
+    description, as JSON-serializable values."""
     unit = ("dimensionless (gamma*S/(2*nbar))" if curve.normalized
             else "1/(rad/s) in kappa2 units")
     header = (f"kind: {curve.kind}\n"
               f"normalized: {curve.normalized}\n"
               f"columns: omega_over_kappa2, S [{unit}]")
     _write_columns(path, header, [curve.omegas / params.kappa2, curve.values])
-    meta = {
+    return {
         "params": params_dict(params),
         "kind": curve.kind,
         "normalized": curve.normalized,
@@ -241,6 +241,3 @@ def save_curve(path, curve: SpectrumCurve, params: SystemParams,
             "omega_max_over_kappa2": float(curve.omegas[-1] / params.kappa2),
         },
     }
-    if extra_meta:
-        meta.update(extra_meta)
-    _write_json(f"{path}.meta.json", meta)

@@ -1,6 +1,9 @@
 import argparse
+import ast
+import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -10,8 +13,9 @@ import numpy as np
 import pytest
 
 import phonocool
-from phonocool import (SystemParams, cli, cooling_ratio, occupancy,
-                       phonon_spectrum, plane_wave, save_mode_field, spectra)
+from phonocool import (EnsembleStats, SystemParams, cli, cooling_ratio,
+                       occupancy, phonon_spectrum, plane_wave, save_mode_field,
+                       spectra)
 from phonocool.cli import (COMMANDS, CliError, RunConfig, _expand_config,
                            build_parser, main, run)
 from phonocool.core import _write_json
@@ -971,3 +975,112 @@ def test_thread_pool_is_loaded_by_the_monte_carlo_only(tmp_path):
         lines = run_cold(code, command, *ROUND_TRIP[command][0],
                          "--output", "out", cwd=tmp_path)
         assert lines[-1] == f"0 {loaded}"
+
+
+# ---------------------------------------------------------------------------
+# one sidecar writer: each command returns its record and _dispatch writes
+# <output>.meta.json and prints `wrote <output>`
+
+# the argv of each command whose every sidecar value is exact on any
+# platform: cooling-ratio runs uncoupled at dyadic rates, where R is 1.0
+SIDECAR_ARGV = {
+    **{command: argv for command, (argv, _) in ROUND_TRIP.items()},
+    "cooling-ratio": ["--gamma1", "0.25", "--gamma2", "0.5", "--nbar1", "4",
+                      "--nbar2", "8", "--mode", "2", "--kappa2-hz", "1e6"]}
+# sha256 of each sidecar as written before the one writer, by the separate
+# per-command and save_curve writers
+SIDECAR_SHA256 = {
+    "antistokes": "8cc4f5e35fcfc51c8b0250770ec1331fdfdc0a85560deebd947ec9f3447bdb34",
+    "collective": "92c0a107d6cc24f23efcd70895c687d5fd0e8a2258a69b906a40ab8ce4dec4ea",
+    "cooling-ratio": "b0b1c0c427bcfea70b3d696377f95d9ca824aa6cb1bfd31e9eccf2f342c5e6c6",
+    "coupling": "193dc5c5f059ab9ef1403a00ca6ae18aad3975475a53f42eb0673ea5a7fb5dc9",
+    "simulate": "6b036608dc4e115ce92dfc2c338ef4a188c2dfa64b8a96f05437d526a44852b7",
+    "spectrum": "f224b15cdef43794bf6b1755e7b6215cca4da8323a4722e61aeae4c62bff8965",
+    "sweep": "6634a99343723e0e6704d7783266234e0a80203f9f9e1bac83ffc45cbdc2d0af",
+    "three-wave": "578007f88787fc6eebc4e1b79b40b1facaf6c72a08665aaffa41d144b0f3d1ef",
+}
+
+
+@pytest.mark.filterwarnings("ignore:burn_in:UserWarning")
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_sidecar_bytes_are_pinned(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ax = np.linspace(0.0, 1.0, 12)
+    for name, k, pol in (("phi1", [0.7, 0, 0], [0, 1, 0]),
+                         ("phi2", [0.8, 0, 0], [0, 1, 0]),
+                         ("psi", [0.1, 0, 0], [1, 0, 0])):
+        save_mode_field(f"{name}.txt", plane_wave((ax, ax, ax), k, pol))
+    assert invoke([command, *SIDECAR_ARGV[command], "--output", "out"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote out"
+    sidecar = (tmp_path / "out.meta.json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == SIDECAR_SHA256[command]
+
+
+def test_cooling_ratio_output_prints_the_ratio_then_wrote(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    argv = ["cooling-ratio", *SIDECAR_ARGV["cooling-ratio"]]
+    assert invoke(argv, capsys)[1].out == "R=1.000\n"
+    assert invoke(argv + ["--output", str(out)], capsys)[1].out == (
+        f"R=1.000\nwrote {out}\n")
+    assert out.read_text() == ("# columns: mode, cooling_ratio "
+                               "(dimensionless)\n2,1\n")
+
+
+@pytest.mark.filterwarnings("ignore:burn_in:UserWarning")
+def test_simulate_prints_the_record_it_writes(tmp_path, capsys):
+    argv = ["simulate", "--n-traj", "3", "--t-end", "60", "--dt", "0.5",
+            "--burn-in", "20", "--gamma1", "0.05", "--gamma2", "0.05",
+            "--nbar1", "10", "--seed", "4"]
+    code, cap = invoke(argv, capsys)
+    assert code == 0
+    seed, record = cap.out.split("\n", 1)
+    assert seed == "seed=4"
+    assert invoke(argv + ["--output", str(tmp_path / "mc.json")]) == 0
+    assert record == (tmp_path / "mc.json").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mc.json",
+                                                          "mc.json.meta.json"]
+
+
+def test_simulate_refuses_a_non_finite_record_on_stdout(monkeypatch, capsys):
+    # the stats record is standard JSON on stdout as in a file
+    def nan_stats(params, **kw):
+        return EnsembleStats(n_traj=2, t_end=2.0, dt=1.0, burn_in=1.0,
+                             occupancy_mean=(float("nan"), 0.0),
+                             occupancy_stderr=(0.0, 0.0), seed=0)
+    monkeypatch.setattr(cli, "simulate_ensemble", nan_stats)
+    assert invoke(["simulate"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "seed=0\n"
+    assert cap.err.startswith("error: Out of range float values are not "
+                              "JSON compliant")
+    assert cap.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("output", [False, True])
+def test_overflowing_collective_rate_is_a_numerical_failure(output, tmp_path,
+                                                            capsys):
+    # the reduced drift is finite, its larger eigenvalue is not
+    argv = ["collective", "--g1", "1e154", "--g2", "1e154",
+            "--gamma1", "0.01", "--gamma2", "0.01"]
+    if output:
+        argv += ["--output", str(tmp_path / "c.json")]
+    assert invoke(argv) == 2
+    assert capsys.readouterr() == (
+        "", "numerical failure: collective: a value left the float range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_place_names_the_sidecar():
+    # every <output>.meta.json is written by cli._dispatch; no other
+    # function builds the name
+    places = []
+    for path in pathlib.Path(phonocool.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value == ".meta.json":
+                inner = max((f for f in funcs
+                             if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                places.append((path.name, getattr(inner, "name", None)))
+    assert places == [("cli.py", "_dispatch")]

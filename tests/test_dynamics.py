@@ -67,14 +67,13 @@ def test_stability_guard_triggers():
                           t_end=1.0, dt=0.0)
 
 
-def test_trajectory_behaves_as_state_sequence():
+def test_trajectory_samples_every_step():
     p = ThreeWaveParams(kappa1=0.3, kappa2=1.0, Gamma=0.1)
     traj = evolve_three_wave(p, ThreeWaveState(a1=1, a2=0, u=0),
                              t_end=1.0, dt=0.01)
     assert len(traj) == 101
-    s = traj[10]
-    assert isinstance(s, ThreeWaveState)
-    assert s.t == pytest.approx(0.1)
+    assert traj.t[10] == pytest.approx(0.1)
+    assert traj.a1.shape == traj.a2.shape == traj.u.shape == traj.t.shape
 
 
 def test_trajectory_csv_export(tmp_path):
@@ -410,6 +409,19 @@ def test_collective_rates_labels_ties_degenerate(matrix, monkeypatch):
     # a tie keeps the eigensolver's order
     w, _ = np.linalg.eig(red.matrix)
     assert (modes.rate_plus, modes.rate_minus) == (-w[0], -w[1])
+
+
+def test_collective_rates_refuse_an_infinite_rate():
+    # |G|^2 = 1e308 keeps the reduced drift finite; its super-radiant
+    # eigenvalue, about -2e308, is not
+    p = SystemParams(kappa2=1.0, gamma1=0.01, gamma2=0.01,
+                     g1=1e154, g2=1e154, nbar1=1.0)
+    assert np.isfinite(dynamics.adiabatic_reduce(p).matrix).all()
+    with pytest.raises(OverflowError, match="float range"):
+        collective_rates(p)
+    # just inside the range, the rates are returned
+    modes = collective_rates(replace(p, g1=1e153, g2=1e153))
+    assert np.isfinite(modes.rate_plus)
 
 
 @pytest.mark.parametrize("t_end, dt, name", [

@@ -397,21 +397,25 @@ def test_oracle_matches_closed_forms_random_draws():
 # export
 
 
-def test_save_curve_csv_and_sidecar(tmp_path):
+def test_save_curve_writes_the_csv_and_returns_its_record(tmp_path):
     om = np.linspace(-1.5, 1.5, 11)
     curve = phonon_spectrum(FIG2, 1, om, normalized=True)
     path = tmp_path / "curve.csv"
-    save_curve(path, curve, FIG2, extra_meta={"note": "test"})
+    record = save_curve(path, curve, FIG2)
     text = path.read_text().splitlines()
     assert text[0] == "# kind: phonon1"
     assert "omega_over_kappa2" in text[2]
     data = np.loadtxt(path, delimiter=",")
     assert data.shape == (11, 2)
-    meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
-    assert meta["params"]["omega"] == 0.1
-    assert meta["normalized"] is True
-    assert meta["note"] == "test"
-    assert meta["grid"]["count"] == 11
+    # the record is returned, not written: the CLI writes every sidecar
+    assert list(tmp_path.iterdir()) == [path]
+    assert record == json.loads(json.dumps(record))
+    assert record == {
+        "params": spectra.params_dict(FIG2), "kind": "phonon1",
+        "normalized": True,
+        "grid": {"count": 11, "omega_min_over_kappa2": -1.5,
+                 "omega_max_over_kappa2": 1.5}}
+    assert record["params"]["omega"] == 0.1
 
 
 DISTINCT = SystemParams(kappa2=1.5, delta=0.25, omega=0.125, gamma1=0.01,
