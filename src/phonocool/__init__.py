@@ -39,7 +39,6 @@ from .coupling import (
 from .dynamics import (
     AdiabaticReduction,
     CollectiveModes,
-    DriftMatrix,
     IntegrationError,
     Trajectory,
     adiabatic_reduce,
@@ -53,7 +52,6 @@ from .spectra import (
     antistokes_spectrum,
     cooling_ratio,
     cooling_ratio_adiabatic,
-    d_of_omega,
     occupancy,
     phonon_spectrum,
     save_curve,

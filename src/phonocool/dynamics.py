@@ -140,28 +140,14 @@ def evolve_three_wave(params: ThreeWaveParams, init: ThreeWaveState,
 # linear system drift
 
 
-@dataclass(frozen=True)
-class DriftMatrix:
-    """Drift of the linear (a2, b1, b2) system: d/dt x = m x + noise."""
-
-    m: np.ndarray
-    labels: tuple[str, str, str] = ("a2", "b1", "b2")
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        object.__setattr__(self, "m", m)
-        if m.shape != (3, 3):
-            raise ValueError("drift matrix must be 3x3")
-
-
-def drift_matrix(params: SystemParams) -> DriftMatrix:
-    """Drift matrix of the two-phonon + cavity quantum Langevin system."""
-    m = np.array([
+def drift_matrix(params: SystemParams) -> np.ndarray:
+    """3x3 complex drift M of the two-phonon + cavity quantum Langevin
+    system, d/dt (a2, b1, b2) = M (a2, b1, b2) + noise."""
+    return np.array([
         [-1j * params.delta - params.kappa2, -1j * params.g1, -1j * params.g2],
-        [-1j * np.conj(params.g1), -1j * params.omega - params.gamma1, 0.0],
-        [-1j * np.conj(params.g2), 0.0, 1j * params.omega - params.gamma2],
+        [-1j * params.g1.conjugate(), -1j * params.omega - params.gamma1, 0.0],
+        [-1j * params.g2.conjugate(), 0.0, 1j * params.omega - params.gamma2],
     ], dtype=complex)
-    return DriftMatrix(m=m)
 
 
 def _noise_densities(p: SystemParams) -> np.ndarray:

@@ -66,7 +66,7 @@ def step_covariance(params: SystemParams, dt: float) -> np.ndarray:
     """Exact one-step noise covariance Q = int_0^dt e^{Ms} N e^{M^dag s} ds,
     with N the diagonal of channel densities."""
     from scipy.linalg import expm
-    m = drift_matrix(params).m
+    m = drift_matrix(params)
     n = np.diag(_noise_densities(params)).astype(complex)
     block = np.zeros((6, 6), dtype=complex)
     block[:3, :3] = m
@@ -91,7 +91,7 @@ def _shaping_matrix(q: np.ndarray) -> np.ndarray:
 
 def _propagator(params: SystemParams, dt: float):
     from scipy.linalg import expm
-    m = drift_matrix(params).m
+    m = drift_matrix(params)
     e = expm(m * dt)
     if not np.all(np.isfinite(e)):
         raise CovarianceError("exp(M dt) is not finite; reduce dt")
@@ -135,7 +135,7 @@ def _record(t_end: float, dt: float, burn_in: float) -> tuple[int, int]:
 def _warn_short_burn_in(p: SystemParams, burn_in: float) -> None:
     """Warn when burn_in is short of 10 / slowest decay rate; called after
     every input check, so a rejected run never warns."""
-    rates = -np.linalg.eigvals(drift_matrix(p).m).real
+    rates = -np.linalg.eigvals(drift_matrix(p)).real
     pos = rates[rates > 0]
     if pos.size and burn_in < 10.0 / pos.min():
         warnings.warn(
@@ -214,22 +214,27 @@ def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
         os.makedirs(dump_dir, exist_ok=True)
     t_rec = (n_burn + 1 + np.arange(n_rec)) * dt
 
-    sums = np.zeros((n_traj, 2))
-    for lo in range(0, n_traj, _TRAJ_BATCH):
-        hi = min(lo + _TRAJ_BATCH, n_traj)
-        rec = (np.empty((hi - lo, n_rec, 3), dtype=complex)
-               if dump_dir is not None else None)
-        for off, block in _propagate(e, c, seed, lo, hi, n_burn, n_rec):
-            _add_occupancy(sums[lo:hi], block)
+    # a value beyond the float range surfaces as one OverflowError below,
+    # not as a numpy warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.zeros((n_traj, 2))
+        for lo in range(0, n_traj, _TRAJ_BATCH):
+            hi = min(lo + _TRAJ_BATCH, n_traj)
+            rec = (np.empty((hi - lo, n_rec, 3), dtype=complex)
+                   if dump_dir is not None else None)
+            for off, block in _propagate(e, c, seed, lo, hi, n_burn, n_rec):
+                _add_occupancy(sums[lo:hi], block)
+                if rec is not None:
+                    rec[:, off:off + block.shape[1]] = block
             if rec is not None:
-                rec[:, off:off + block.shape[1]] = block
-        if rec is not None:
-            for j in range(hi - lo):
-                _dump_trajectory(dump_dir, lo + j, t_rec, rec[j])
+                for j in range(hi - lo):
+                    _dump_trajectory(dump_dir, lo + j, t_rec, rec[j])
 
-    traj_means = sums / n_rec
-    mean = traj_means.mean(axis=0)
-    stderr = traj_means.std(axis=0, ddof=1) / np.sqrt(n_traj)
+        traj_means = sums / n_rec
+        mean = traj_means.mean(axis=0)
+        stderr = traj_means.std(axis=0, ddof=1) / np.sqrt(n_traj)
+    if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
+        raise OverflowError("occupancy mean or standard error is not finite")
     return EnsembleStats(
         n_traj=n_traj, t_end=float(t_end), dt=float(dt),
         burn_in=float(burn_in),

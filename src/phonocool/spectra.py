@@ -15,6 +15,7 @@ SingularityError.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -94,17 +95,6 @@ def _dropped(p: SystemParams, i: int, mode: int | None) -> bool:
     return gamma == 0.0 and g == 0 and i != mode
 
 
-def d_of_omega(params: SystemParams, omega):
-    """Cavity response denominator d(omega) of the coupled system.
-
-    d = (i delta - i omega + kappa2) + |G1|^2/(i Omega - i omega + gamma1)
-      + |G2|^2/(-i Omega - i omega + gamma2).
-    Scalar in, scalar out; arrays broadcast.
-    """
-    out = _response(params, omega)[3]
-    return out if np.ndim(omega) else complex(out)
-
-
 def _grid_span_warning(p: SystemParams, omegas: np.ndarray) -> None:
     gmax = max(p.gamma1, p.gamma2)
     lo, hi = -abs(p.omega) - 20 * gmax, abs(p.omega) + 20 * gmax
@@ -159,32 +149,76 @@ def antistokes_spectrum(params: SystemParams, omegas) -> SpectrumCurve:
                          kind="antistokes")
 
 
-def occupancy(params: SystemParams, mode: int) -> float:
-    """Steady-state phonon occupancy <b_i^dag b_i> of mode 1 or 2.
+def _stationary_block(params: SystemParams, mode: int):
+    """(keep, P): the modes kept under the dropped-mode rule, (0, ...) with
+    the cavity first, and the block of the stationary covariance over them,
+    which solves M P + P M^dag + N = 0.
 
-    Returns P_ii of the stationary covariance that solves
-    M P + P M^dag + N = 0 (Bartels-Stewart), with N = diag(0,
-    2 gamma1 nbar1, 2 gamma2 nbar2).  A zero-width phonon mode with zero
-    coupling is dropped and the remaining (cavity, phonon) block is solved;
-    a zero-width mode that is coupled or requested raises SingularityError,
-    as does a drift whose slowest eigenvalue is not decaying beyond
-    rounding (no steady state to report).
+    Bartels-Stewart as scipy's solve_continuous_lyapunov runs it, on one
+    complex Schur form M = U R U^dag (LAPACK zgees) whose eigenvalues also
+    serve the Hurwitz check: ztrsyl solves R Y + Y R^dag = scale F with
+    F = U^dag Q U and Q = -N, and P = U (Y / scale) U^dag.  A value beyond
+    the float range in ||M|| or P raises OverflowError; one in N leaves P
+    non-finite, so it raises too.
     """
-    _mode(params, mode)  # rejects a mode other than 1 or 2
     keep = [0] + [i for i in (1, 2) if not _dropped(params, i, mode)]
     if any(_mode(params, i)[0] == 0.0 for i in keep[1:]):
         raise SingularityError(
             "occupancy requires positive phonon half-widths (gamma1, gamma2) "
             "unless the zero-width mode is uncoupled and not requested")
-    m = drift_matrix(params).m[np.ix_(keep, keep)]
-    eig = np.linalg.eigvals(m)
-    slowest = eig[np.argmax(eig.real)]
-    if slowest.real >= -_MARGIN_RTOL * np.linalg.norm(m):
-        raise SingularityError(
-            "drift matrix is not Hurwitz to working precision: marginal "
-            f"eigenvalue {slowest:.6g}")
-    from scipy.linalg import solve_continuous_lyapunov
-    cov = solve_continuous_lyapunov(m, -np.diag(_noise_densities(params)[keep]))
+    # the kept rows and columns as a slice: all, (a2, b1) or (a2, b2)
+    rows = slice(0, keep[-1] + 1, keep[1])
+    m = drift_matrix(params)[rows, rows]
+    q = -np.diag(_noise_densities(params)[rows])
+    from scipy.linalg import lapack
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = math.sqrt(np.vdot(m, m).real)
+        if not math.isfinite(norm):
+            raise OverflowError("drift matrix norm is not finite")
+        r, _, eig, u, _, info = lapack.zgees(lambda _: None, m)  # no sorting
+        if info:
+            raise np.linalg.LinAlgError(
+                "Schur form not found. Possibly ill-conditioned.")
+        if eig.real.max() >= -_MARGIN_RTOL * norm:
+            slowest = eig[np.argmax(eig.real)]
+            raise SingularityError(
+                "drift matrix is not Hurwitz to working precision: marginal "
+                f"eigenvalue {slowest:.6g}")
+        f = u.conj().T.dot(q.dot(u))
+        y, scale, info = lapack.ztrsyl(r, r, f, tranb="C")
+        if info < 0:
+            raise ValueError(
+                "?TRSYL exited with the internal error \"illegal value in "
+                f"argument number {-info}.\". See LAPACK documentation for "
+                "the ?TRSYL error codes.")
+        if info == 1:
+            warnings.warn(
+                'Input "a" has an eigenvalue pair whose sum is very close to '
+                "or exactly zero. The solution is obtained via perturbing "
+                "the coefficients.", RuntimeWarning, stacklevel=2)
+        # LAPACK scales Y down where it would overflow; scipy multiplies
+        # by scale, which is exact only at scale = 1
+        y /= scale
+        cov = u.dot(y).dot(u.conj().T)
+        if not np.isfinite(cov).all():
+            raise OverflowError("stationary covariance is not finite")
+    return keep, cov
+
+
+def occupancy(params: SystemParams, mode: int) -> float:
+    """Steady-state phonon occupancy <b_i^dag b_i> of mode 1 or 2.
+
+    Returns P_ii of the stationary covariance that solves
+    M P + P M^dag + N = 0 (Bartels-Stewart on one Schur form of M), with
+    N = diag(0, 2 gamma1 nbar1, 2 gamma2 nbar2).  A zero-width phonon mode
+    with zero coupling is dropped and the remaining (cavity, phonon) block
+    is solved; a zero-width mode that is coupled or requested raises
+    SingularityError, as does a drift whose slowest eigenvalue is not
+    decaying beyond rounding (no steady state to report).  A value beyond
+    the float range raises OverflowError.
+    """
+    _mode(params, mode)  # rejects a mode other than 1 or 2
+    keep, cov = _stationary_block(params, mode)
     i = keep.index(mode)
     return float(cov[i, i].real)
 

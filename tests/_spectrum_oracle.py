@@ -22,7 +22,7 @@ def spectrum_oracle(params: SystemParams, omegas
     """
     p = validate(params)
     omegas = np.asarray(omegas, dtype=float)
-    m = drift_matrix(p).m
+    m = drift_matrix(p)
     a = -1j * omegas[:, None, None] * np.eye(3) - m[None, :, :]
     try:
         resp = np.linalg.solve(a, np.broadcast_to(np.eye(3), a.shape))

@@ -525,6 +525,45 @@ def test_overflowing_coupling_is_a_numerical_failure(command, tmp_path,
                          "--nbar1", "1"], "", tmp_path / "out.csv", capsys, 2)
 
 
+OCCUPANCY_OVERFLOW = [
+    ["--g1", "1e200", "--gamma1", "0.01", "--nbar1", "1"],  # ||M||
+    ["--g1", "0.3", "--gamma1", "1", "--nbar1", "1e308",  # 2 gamma1 nbar1
+     "--gamma2", "0.01"],
+]
+
+
+@pytest.mark.parametrize("flags", OCCUPANCY_OVERFLOW)
+@pytest.mark.parametrize("command", [
+    ["cooling-ratio"],
+    ["sweep", "--axis", "g2", "--from", "0", "--to", "0.1", "--count", "2"]])
+def test_occupancy_overflow_is_a_numerical_failure(command, flags, tmp_path,
+                                                   capsys):
+    # the one line, no warning on the way, no file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = invoke(command + flags + ["--output", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"numerical failure: {command[0]}: a value left the float range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("output", [False, True])
+def test_simulate_overflow_is_a_numerical_failure(output, tmp_path, capsys):
+    # burn_in = 10 / slowest decay rate, so the line is all of stderr
+    argv = ["simulate", "--n-traj", "2", "--t-end", "220", "--dt", "0.5",
+            "--burn-in", "200", "--gamma1", "0.05", "--gamma2", "0.05",
+            "--nbar1", "1e200"]
+    if output:
+        argv += ["--output", str(tmp_path / "mc.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invoke(argv) == 2
+    assert capsys.readouterr() == (
+        "seed=0\n", "numerical failure: simulate: a value left the float range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_three_wave_overflowing_amplitude_violates_the_guard(tmp_path,
                                                             capsys):
     # |a1| overflows although a1 is finite: an infinite rate for the guard

@@ -223,7 +223,8 @@ def test_overflowing_modulus_violates_the_stability_guard(field):
 def test_drift_matrix_entries():
     p = SystemParams(kappa2=1.0, delta=0.2, omega=0.1, gamma1=0.01,
                      gamma2=0.02, g1=0.3 + 0.1j, g2=0.5, nbar1=1.0)
-    m = drift_matrix(p).m
+    m = drift_matrix(p)
+    assert m.shape == (3, 3) and m.dtype == complex
     assert m[0, 0] == pytest.approx(-1j * 0.2 - 1.0)
     assert m[0, 1] == pytest.approx(-1j * (0.3 + 0.1j))
     assert m[0, 2] == pytest.approx(-1j * 0.5)
@@ -236,7 +237,7 @@ def test_drift_matrix_entries():
 def test_drift_matrix_diagonal_without_coupling():
     p = SystemParams(kappa2=1.0, delta=0.3, omega=0.2, gamma1=0.01,
                      gamma2=0.02)
-    m = drift_matrix(p).m
+    m = drift_matrix(p)
     off = m - np.diag(np.diag(m))
     assert np.abs(off).max() == 0
     assert np.allclose(np.diag(m), [-1j * 0.3 - 1.0, -1j * 0.2 - 0.01,
@@ -255,19 +256,19 @@ def test_drift_eigenvalues_passive_over_random_draws():
             g1=rng.uniform(0, 2) * np.exp(2j * np.pi * rng.uniform()),
             g2=rng.uniform(0, 2) * np.exp(2j * np.pi * rng.uniform()),
             nbar1=rng.uniform(0, 100))
-        ev = np.linalg.eigvals(drift_matrix(p).m)
+        ev = np.linalg.eigvals(drift_matrix(p))
         assert np.all(ev.real <= 1e-12)
 
 
 def test_drift_trace_matches_total_damping():
     p = SystemParams(kappa2=1.3, delta=0.4, omega=0.2, gamma1=0.05,
                      gamma2=0.07, g1=0.3, g2=0.2j, nbar1=1.0)
-    ev = np.linalg.eigvals(drift_matrix(p).m)
+    ev = np.linalg.eigvals(drift_matrix(p))
     assert ev.real.sum() == pytest.approx(-(1.3 + 0.05 + 0.07), abs=1e-12)
 
 
 def test_drift_eigenvalues_show_cooling_at_figure_params():
-    ev = np.linalg.eigvals(drift_matrix(FIG2).m)
+    ev = np.linalg.eigvals(drift_matrix(FIG2))
     assert len(set(np.round(ev, 9))) == 3
     # phonon-like eigenvalues: the two with small |real part|
     phonon = sorted(ev, key=lambda z: -z.real)[:2]
@@ -312,7 +313,7 @@ def test_adiabatic_matches_full_drift_at_figure_params():
     p = SystemParams(kappa2=1.0, delta=0.0, omega=0.1, gamma1=0.01,
                      gamma2=0.01, g1=0.3, g2=0.0, nbar1=100.0)
     red = adiabatic_reduce(p)
-    full = np.linalg.eigvals(drift_matrix(p).m)
+    full = np.linalg.eigvals(drift_matrix(p))
     reduced = np.linalg.eigvals(red.matrix)
     phonon_like = sorted(full, key=lambda z: -z.real)[:2]
     for lam in reduced:
@@ -336,7 +337,7 @@ def test_adiabatic_reduction_is_schur_complement_for_complex_couplings():
     p = SystemParams(kappa2=1.0, delta=0.2, omega=0.1, gamma1=0.01,
                      gamma2=0.02, g1=0.3 + 0.2j, g2=0.1 - 0.4j, nbar1=1.0)
     red = adiabatic_reduce(p)
-    m = drift_matrix(p).m
+    m = drift_matrix(p)
     schur = m[1:, 1:] - np.outer(m[1:, 0], m[0, 1:]) / m[0, 0]
     assert np.allclose(red.matrix, schur, rtol=1e-14, atol=1e-16)
     assert red.cross_coupling == pytest.approx(-red.matrix[0, 1], rel=1e-14)

@@ -135,7 +135,7 @@ def test_reported_stderr_is_the_exact_spread_of_one_trajectory():
                               burn_in=burn_in, seed=2718)
     p = COUPLED
     noise = np.array([0.0, 2 * p.gamma1 * p.nbar1, 2 * p.gamma2 * p.nbar2])
-    _, sd = time_average(drift_matrix(p).m, noise, dt, round(burn_in / dt),
+    _, sd = time_average(drift_matrix(p), noise, dt, round(burn_in / dt),
                          round(t_end / dt))
     per_traj = np.array(stats.occupancy_stderr) * np.sqrt(n_traj)
     assert np.allclose(per_traj, sd, rtol=0.06, atol=0)
@@ -145,6 +145,19 @@ def test_burn_in_guard_warns():
     with pytest.warns(UserWarning, match="burn_in"):
         simulate_ensemble(OU, n_traj=4, t_end=150.0, dt=0.5, burn_in=10.0,
                           seed=0)
+
+
+@pytest.mark.parametrize("nbar", [1e200, 1e307, 1.7e308])
+def test_occupancy_beyond_the_float_range_is_an_overflow(nbar):
+    # |b|^2, its sums or its spread leave the float range: one
+    # OverflowError, after the burn-in warning and no numpy warning
+    p = replace(OU, nbar1=nbar)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError):
+            simulate_ensemble(p, n_traj=2, t_end=20.0, dt=0.5, burn_in=10.0)
+    assert [w.category for w in caught] == [UserWarning]
+    assert "burn_in" in str(caught[0].message)
 
 
 @pytest.mark.parametrize("t_end, burn_in, name", [(1010.0, 999.0, "t_end"),

@@ -15,14 +15,12 @@ from phonocool import (
     antistokes_spectrum,
     cooling_ratio,
     cooling_ratio_adiabatic,
-    d_of_omega,
     drift_matrix,
     occupancy,
     phonon_spectrum,
     save_curve,
 )
 from phonocool import spectra
-from phonocool.dynamics import DriftMatrix
 
 from _quadrature import occupancy_quadrature
 from _spectrum_oracle import spectrum_oracle
@@ -49,11 +47,16 @@ def random_params(rng):
 # cavity response denominator
 
 
+def cavity_d(p, omega):
+    """The coupled cavity response d(omega) of spectra._response."""
+    return spectra._response(p, omega)[3]
+
+
 def test_d_of_omega_bare_cavity():
     p = SystemParams(kappa2=1.0, delta=0.3, omega=0.1, gamma1=0.01,
                      gamma2=0.01, nbar1=1.0)
     w = 0.7
-    assert d_of_omega(p, w) == pytest.approx(1.0 + 1j * (0.3 - w))
+    assert cavity_d(p, w) == pytest.approx(1.0 + 1j * (0.3 - w))
 
 
 def test_d_of_omega_figure_value_at_resonance():
@@ -61,15 +64,15 @@ def test_d_of_omega_figure_value_at_resonance():
     expect = (FIG2.kappa2 - 1j * w
               + abs(FIG2.g1)**2 / FIG2.gamma1
               + abs(FIG2.g2)**2 / (-2j * FIG2.omega + FIG2.gamma2))
-    assert d_of_omega(FIG2, w) == pytest.approx(expect, rel=1e-14)
+    assert cavity_d(FIG2, w) == pytest.approx(expect, rel=1e-14)
 
 
 def test_d_of_omega_pole_detection():
     p = replace(FIG2, gamma1=0.0)
     with pytest.raises(SingularityError, match="gamma1"):
-        d_of_omega(p, p.omega)
+        cavity_d(p, p.omega)
     # off the pole the value is fine
-    d_of_omega(p, p.omega + 1e-6)
+    cavity_d(p, p.omega + 1e-6)
 
 
 def test_d_cubic_roots_match_drift_eigenvalues():
@@ -81,12 +84,12 @@ def test_d_cubic_roots_match_drift_eigenvalues():
     def poly(w):
         d1 = 1j * (p.omega - w) + p.gamma1
         d2 = -1j * (p.omega + w) + p.gamma2
-        return d_of_omega(p, w) * d1 * d2
+        return cavity_d(p, w) * d1 * d2
 
     ws = np.array([-1.0, -0.3, 0.4, 1.1])
     coeffs = np.polyfit(ws, [poly(w) for w in ws], 3)
     roots = np.sort_complex(np.roots(coeffs))
-    expect = np.sort_complex(1j * np.linalg.eigvals(drift_matrix(p).m))
+    expect = np.sort_complex(1j * np.linalg.eigvals(drift_matrix(p)))
     assert np.allclose(roots, expect, atol=1e-10)
 
 
@@ -187,7 +190,7 @@ def test_antistokes_two_peaks_track_response_poles():
     curve = antistokes_spectrum(p, om)
     peaks = np.sort(_interior_peaks(om, curve.values))
     assert len(peaks) == 2
-    ev = np.linalg.eigvals(drift_matrix(p).m)
+    ev = np.linalg.eigvals(drift_matrix(p))
     phonon_like = sorted(ev, key=lambda z: -z.real)[:2]
     pole_freqs = np.sort([-lam.imag for lam in phonon_like])
     dampings = np.array([-lam.real for lam in
@@ -259,8 +262,8 @@ def test_decoupled_zero_width_mode_is_dropped_from_the_spectra(mode, omega):
                                             normalized=True).values,
                   lambda p: antistokes_spectrum(p, POLE_GRID).values):
         assert np.array_equal(curve(free), curve(damped))
-    assert np.array_equal(d_of_omega(free, POLE_GRID),
-                          d_of_omega(damped, POLE_GRID))
+    assert np.array_equal(cavity_d(free, POLE_GRID),
+                          cavity_d(damped, POLE_GRID))
 
 
 @pytest.mark.parametrize("mode", [1, 2])
@@ -270,7 +273,7 @@ def test_zero_width_pole_still_raises_when_coupled_or_requested(mode):
     coupled = replace(om, **{f"gamma{other}": 0.0})
     for curve in (lambda p: phonon_spectrum(p, mode, POLE_GRID),
                   lambda p: antistokes_spectrum(p, POLE_GRID),
-                  lambda p: d_of_omega(p, POLE_GRID)):
+                  lambda p: cavity_d(p, POLE_GRID)):
         with pytest.raises(SingularityError, match=f"gamma{other} = 0"):
             curve(coupled)
     requested = replace(om, **{f"gamma{mode}": 0.0, f"g{mode}": 0j})
@@ -290,11 +293,74 @@ def test_occupancy_rejects_marginal_drift():
 def test_occupancy_rejects_unstable_drift(monkeypatch):
     # a growing drift has no steady state, although the Lyapunov equation
     # still has a (negative-definite) solution
-    stable = drift_matrix(FIG2).m
-    monkeypatch.setattr(spectra, "drift_matrix",
-                        lambda p: DriftMatrix(m=-stable))
+    stable = drift_matrix(FIG2)
+    monkeypatch.setattr(spectra, "drift_matrix", lambda p: -stable)
     with pytest.raises(SingularityError, match="not Hurwitz"):
         occupancy(FIG2, 1)
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_occupancy_is_bitwise_scipys_lyapunov_solve(mode):
+    # occupancy runs Bartels-Stewart as scipy's solver does, so P_ii is
+    # scipy's to the last bit: complex couplings, delta and Omega nonzero,
+    # and every third system with the other mode free and so dropped
+    from scipy.linalg import solve_continuous_lyapunov
+    rng = np.random.default_rng(1972)
+    other = 3 - mode
+    got, want = [], []
+    for k in range(150):
+        p = random_params(rng)
+        keep = [0, 1, 2]
+        if k % 3 == 0:
+            p = replace(p, **{f"gamma{other}": 0.0, f"g{other}": 0j})
+            keep = [0, mode]
+        assert p.delta != 0 and p.omega != 0
+        assert all(getattr(p, f"g{i}").imag != 0 for i in keep[1:])
+        m = drift_matrix(p)[np.ix_(keep, keep)]
+        n = np.array([0.0, 2 * p.gamma1 * p.nbar1, 2 * p.gamma2 * p.nbar2])
+        cov = solve_continuous_lyapunov(m, -np.diag(n[keep]))
+        i = keep.index(mode)
+        want.append(cov[i, i].real)
+        got.append(occupancy(p, mode))
+    assert np.array_equal(np.array(got).view(np.uint64),
+                          np.array(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("params", [
+    replace(FIG2, g1=1e200),  # ||M|| overflows
+    replace(FIG2, gamma1=1.0, nbar1=1e308),  # 2 gamma1 nbar1 overflows
+])
+def test_occupancy_beyond_the_float_range_is_an_overflow(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            occupancy(params, 1)
+
+
+def test_occupancy_undoes_the_solvers_scaling():
+    # near the top of the float range ztrsyl returns scale < 1, with
+    # R Y + Y R^dag = scale F; the occupancy divides it out, so the ratio
+    # is the one at nbar = 1 and is not scaled down towards zero
+    p = SystemParams(kappa2=1.0, g1=0.3, gamma1=1.0, gamma2=0.01, nbar1=1.0)
+    for nbar in (1e295, 1e300, 1e305):
+        hot = replace(p, nbar1=nbar, nbar2=nbar)
+        assert cooling_ratio(hot, 1) == pytest.approx(
+            cooling_ratio(p, 1), rel=1e-12)
+
+
+def test_occupancy_keeps_the_solvers_error_and_warning(monkeypatch):
+    from scipy.linalg import lapack
+    solve = lapack.ztrsyl
+    monkeypatch.setattr(lapack, "ztrsyl",
+                        lambda *a, **k: (solve(*a, **k)[0], 1.0, -3))
+    with pytest.raises(ValueError, match="illegal value in argument number 3"):
+        occupancy(FIG2, 1)
+    monkeypatch.setattr(lapack, "ztrsyl",
+                        lambda *a, **k: (solve(*a, **k)[0], 1.0, 1))
+    with pytest.warns(RuntimeWarning, match="eigenvalue pair whose sum"):
+        perturbed = occupancy(FIG2, 1)
+    monkeypatch.setattr(lapack, "ztrsyl", solve)
+    assert perturbed == occupancy(FIG2, 1)
 
 
 def test_occupancy_matches_fine_trapezoid():
