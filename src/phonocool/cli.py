@@ -8,16 +8,17 @@ plus a JSON sidecar <output>.meta.json whose "config" section can be fed
 back through --config to reproduce the run.
 
 One table, COMMANDS, declares each command's handler, help text and flags;
-it drives the parser, run(RunConfig) and every sidecar's "config" block.
+it drives the parser and every sidecar's "config" block.  `main(argv)` is
+the one entry point, from the shell and from Python alike: it returns the
+exit status instead of exiting.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import numbers
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -131,17 +132,13 @@ def _build_params(args, **axis) -> SystemParams:
     return SystemParams(kappa2=1.0, **{**flags, **axis})
 
 
-def _dest(option: str, kwargs: dict) -> str:
-    return kwargs.get("dest", option[2:].replace("-", "_"))
-
-
 def _meta(args, **extra) -> dict:
     """Sidecar metadata.  Its "config" block holds every flag value of the
     run, keyed by option name without the leading "--" and without the
     unset (None) ones, complex values as text, so it replays via --config."""
     config = {}
     for option, kwargs in COMMANDS[args.command][2]:
-        value = getattr(args, _dest(option, kwargs))
+        value = getattr(args, kwargs.get("dest", option[2:].replace("-", "_")))
         if value is not None:
             config[option[2:]] = (str(value) if kwargs.get("type") is _complex
                                   else value)
@@ -161,22 +158,29 @@ def _meta(args, **extra) -> dict:
 # adds, or returns None when it wrote no file
 
 
-def _grid(args) -> np.ndarray:
+def _grid(args, start: float, stop: float, scale: str = "linear"):
+    """--count points from start to stop, evenly or geometrically spaced."""
     if args.count < 2:
         raise CliError("--count must be at least 2")
-    return np.linspace(args.omega_min, args.omega_max, args.count)
+    if scale == "log":
+        if start <= 0 or stop <= 0:
+            raise CliError("log scale needs positive --from/--to")
+        return np.geomspace(start, stop, args.count)
+    return np.linspace(start, stop, args.count)
 
 
 def cmd_spectrum(args) -> dict:
     params = _build_params(args)
-    curve = spectra.phonon_spectrum(params, args.mode, _grid(args),
+    omegas = _grid(args, args.omega_min, args.omega_max)
+    curve = spectra.phonon_spectrum(params, args.mode, omegas,
                                     normalized=args.normalized)
     return spectra.save_curve(args.output, curve, params)
 
 
 def cmd_antistokes(args) -> dict:
     params = _build_params(args)
-    curve = spectra.antistokes_spectrum(params, _grid(args))
+    omegas = _grid(args, args.omega_min, args.omega_max)
+    curve = spectra.antistokes_spectrum(params, omegas)
     return spectra.save_curve(args.output, curve, params)
 
 
@@ -203,15 +207,8 @@ def cmd_simulate(args) -> dict | None:
 
 
 def cmd_sweep(args) -> dict:
-    if args.count < 2:
-        raise CliError("sweep needs --count of at least 2")
+    values = _grid(args, args.start, args.stop, args.scale)
     _build_params(args)
-    if args.scale == "log":
-        if args.start <= 0 or args.stop <= 0:
-            raise CliError("log scale needs positive --from/--to")
-        values = np.geomspace(args.start, args.stop, args.count)
-    else:
-        values = np.linspace(args.start, args.stop, args.count)
     name, _, mode = args.metric.partition(":")
     name, mode = name.replace("-", "_"), int(mode or 1)
     metric = getattr(spectra, name)  # looked up now: rebinding is seen
@@ -415,60 +412,6 @@ def _parser(command: str | None) -> _Parser:
 # entry points
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved invocation: the command plus its flag values.
-
-    Options use the argparse destinations (e.g. "omega_min", "n_traj",
-    "start"/"stop" for --from/--to); anything omitted falls back to the
-    command's defaults.
-    """
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise CliError(f"unknown command {self.command!r}; "
-                           f"choose from {', '.join(COMMANDS)}")
-
-
-def _parsable(kwargs: dict, value) -> bool:
-    """Whether the parser can produce `value` for a flag declared with
-    these add_argument keywords (an int stands for the equal float)."""
-    if value is None:
-        return kwargs.get("default") is None
-    if kwargs.get("action") == "store_true":
-        return isinstance(value, bool)
-    kind = {float: numbers.Real, int: numbers.Integral,
-            _complex: numbers.Complex}.get(kwargs.get("type"), str)
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and value in kwargs.get("choices", (value,)))
-
-
-def _resolve(config: RunConfig) -> argparse.Namespace:
-    """The namespace the parser would produce for `config`."""
-    flags = {_dest(option, kwargs): kwargs
-             for option, kwargs in COMMANDS[config.command][2]}
-    values = {}
-    for dest, kwargs in flags.items():
-        store_true = kwargs.get("action") == "store_true"
-        values[dest] = kwargs.get("default", False if store_true else None)
-    for key, value in config.options.items():
-        if key not in flags or key == "config":  # only main expands --config
-            raise CliError(f"unknown option {key!r} for {config.command}")
-        if not _parsable(flags[key], value):
-            raise CliError(f"invalid value {value!r} for option {key!r} "
-                           f"of {config.command}")
-        values[key] = value
-    missing = [k for k, kwargs in flags.items()
-               if kwargs.get("required") and values[k] is None]
-    if missing:
-        raise CliError(f"{config.command} is missing required options: "
-                       f"{', '.join(missing)}")
-    return argparse.Namespace(command=config.command, **values)
-
-
 # a builtin arithmetic error's text is the platform's (an errno tuple for a
 # float overflow), so it is described by its type instead
 _ARITHMETIC = {OverflowError: "a value left the float range",
@@ -483,13 +426,17 @@ def _failure(exc: Exception) -> str:
     return str(exc)
 
 
-def _dispatch(parse) -> int:
-    """Run the command of the namespace that `parse()` returns.  A command
-    that wrote its output file returns the fields its sidecar adds; this is
-    the one place that writes a sidecar, <output>.meta.json, as
-    _meta(args, **record), and then prints `wrote <output>`."""
+def _dispatch(argv: list[str]) -> int:
+    """Parse `argv` and run its command.  A command that wrote its output
+    file returns the fields its sidecar adds; this is the one place that
+    writes a sidecar, <output>.meta.json, as _meta(args, **record), and
+    then prints `wrote <output>`."""
     try:
-        args = parse()
+        expanded = _expand_config(argv)
+        # a command not in first place (after -h, say) gets the full parser
+        command = next(iter(expanded), None)
+        key = command if command in COMMANDS else None
+        args = _parser(key).parse_args(expanded)
         if args.kappa2_hz is not None and not 0 < args.kappa2_hz < np.inf:
             raise CliError("kappa2-hz must be finite and positive, "
                            f"got {args.kappa2_hz!r}")
@@ -504,31 +451,17 @@ def _dispatch(parse) -> int:
             _write_json(f"{args.output}.meta.json", _meta(args, **record))
             print(f"wrote {args.output}")
         return 0
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-
-
-def run(config: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit status
-    (0 ok, 1 validation failure, 2 numerical failure)."""
-    return _dispatch(lambda: _resolve(config))
 
 
 def main(argv=None) -> int:
     """Parse `argv` (default: the process arguments) and run its command;
-    returns the exit status as `run` does.  The parser of the invoked
-    command is built on the first call that names it and reused after."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-
-    def parse():
-        expanded = _expand_config(argv)
-        # a command not in first place (after -h, say) gets the full parser
-        command = next(iter(expanded), None)
-        key = command if command in COMMANDS else None
-        return _parser(key).parse_args(expanded)
-
-    return _dispatch(parse)
+    returns the exit status: 0 ok, 1 usage or validation failure, 2
+    numerical failure.  The parser of the invoked command is built on the
+    first call that names it and reused after."""
+    return _dispatch(list(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

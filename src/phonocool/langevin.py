@@ -210,9 +210,9 @@ def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
     n_burn, n_rec = _record(t_end, dt, burn_in)
     _warn_short_burn_in(params, burn_in)
     e, c = _propagator(params, dt)
-    if dump_dir is not None:
+    if dump_dir is not None:  # only the dump files read the record times
+        t_rec = (n_burn + 1 + np.arange(n_rec)) * dt
         os.makedirs(dump_dir, exist_ok=True)
-    t_rec = (n_burn + 1 + np.arange(n_rec)) * dt
 
     # a value beyond the float range surfaces as one OverflowError below,
     # not as a numpy warning on the way

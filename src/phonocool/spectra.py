@@ -112,7 +112,24 @@ def _phonon_density(p: SystemParams, mode: int, omega) -> np.ndarray:
                               else ((n[2], d2), (n[1], d1, p.g1)))
     num = (ni * np.abs(da + abs(gj)**2 / dj)**2
            + nj * abs(p.g1 * p.g2)**2 / np.abs(dj)**2)
-    return num / (np.abs(d)**2 * np.abs(di)**2)
+    return _over_squares(num, d, di)
+
+
+def _over_squares(num, *factors):
+    """num / (|f1|^2 |f2|^2 ...): the plain quotient where that denominator
+    is finite, and (sqrt(num) / |f1| / |f2| ...)^2 only where it overflowed,
+    so a density within the float range never comes out as 0 through an
+    infinite denominator."""
+    with np.errstate(over="ignore"):
+        den = math.prod(np.abs(f)**2 for f in factors)
+    out = np.asarray(num / den)
+    big = np.isinf(den)
+    if big.any():
+        scaled = np.sqrt(num[big])
+        for f in factors:
+            scaled /= np.abs(f[big])
+        out[big] = scaled**2
+    return out[()]  # a scalar for a scalar omega
 
 
 # a drift eigenvalue decaying slower than this fraction of ||M|| is
@@ -145,7 +162,7 @@ def antistokes_spectrum(params: SystemParams, omegas) -> SpectrumCurve:
     _, d1, d2, d = _response(params, omegas)
     n = _noise_densities(params)
     num = n[1] * np.abs(params.g1 / d1)**2 + n[2] * np.abs(params.g2 / d2)**2
-    return SpectrumCurve(omegas=omegas, values=num / np.abs(d)**2,
+    return SpectrumCurve(omegas=omegas, values=_over_squares(num, d),
                          kind="antistokes")
 
 

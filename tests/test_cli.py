@@ -16,9 +16,9 @@ import phonocool
 from phonocool import (EnsembleStats, SystemParams, cli, cooling_ratio,
                        occupancy, phonon_spectrum, plane_wave, save_mode_field,
                        spectra)
-from phonocool.cli import (COMMANDS, CliError, RunConfig, _expand_config,
-                           build_parser, main, run)
+from phonocool.cli import COMMANDS, _expand_config, build_parser, main
 from phonocool.core import _write_json
+from phonocool.dynamics import _noise_densities
 
 
 def invoke(argv, capsys=None):
@@ -277,64 +277,6 @@ def test_input_files_are_not_mutated(tmp_path):
     assert cfg.read_text() == text
 
 
-def test_run_config_direct_invocation(capsys):
-    code = run(RunConfig("cooling-ratio",
-                         {"gamma1": 0.01, "gamma2": 0.01, "nbar1": 5.0}))
-    assert code == 0
-    assert "R=1.000" in capsys.readouterr().out
-
-
-def test_run_config_rejects_unknown_command():
-    with pytest.raises(CliError, match="unknown command"):
-        RunConfig("no-such-command")
-
-
-def test_run_config_reports_missing_required(capsys):
-    code = run(RunConfig("sweep", {"axis": "g2"}))
-    assert code == 1
-    assert "missing required" in capsys.readouterr().err
-
-
-def test_run_config_rejects_unknown_option(capsys):
-    code = run(RunConfig("cooling-ratio", {"bogus": 1}))
-    assert code == 1
-    assert "unknown option" in capsys.readouterr().err
-
-
-def test_run_config_rejects_config_option(tmp_path, capsys):
-    # a config file is expanded only by main(); run() must not ignore it
-    out = tmp_path / "o.csv"
-    code = run(RunConfig("cooling-ratio",
-                         {"config": str(tmp_path / "missing.cfg"),
-                          "gamma1": 0.01, "gamma2": 0.01,
-                          "output": str(out)}))
-    assert code == 1
-    assert "unknown option 'config'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-SWEEP = {"axis": "g2", "start": 0.1, "stop": 1.0, "count": 3,
-         "gamma1": 0.01, "gamma2": 0.01}
-
-
-@pytest.mark.parametrize("command, options, key", [
-    ("sweep", {**SWEEP, "scale": "logarithmic"}, "scale"),
-    ("sweep", {**SWEEP, "count": "3"}, "count"),
-    ("simulate", {"gamma1": 0.05, "gamma2": 0.05, "n_traj": 2.5,
-                  "t_end": 400.0, "dt": 0.5, "burn_in": 200.0}, "n_traj"),
-    ("spectrum", {"gamma1": 0.01, "gamma2": 0.01, "count": 11,
-                  "normalized": "false"}, "normalized")],
-    ids=["scale", "count", "n_traj", "normalized"])
-def test_run_config_rejects_value_the_parser_cannot_produce(
-        command, options, key, tmp_path, capsys):
-    out = tmp_path / "o.csv"
-    code = run(RunConfig(command, {**options, "output": str(out)}))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"option {key!r}" in err
-    assert list(tmp_path.iterdir()) == []
-
-
 # Every optional flag of each command, and the sidecar "config" block it
 # must produce (as recorded before the command table; three-wave and
 # coupling then dropped kappa2-hz).  Paths are relative to the test's cwd.
@@ -500,6 +442,72 @@ def test_kappa2_is_the_unit_not_a_flag():
 
 
 # ---------------------------------------------------------------------------
+# a spectral density is num / |d|^2 (antistokes) or num / (|d|^2 |d1|^2)
+# (spectrum of mode 1); such a denominator may overflow while the density
+# is a normal float
+
+
+def density_parts(command, p, om):
+    """(num, d, rest): the density is num / (|d|^2 * rest)."""
+    da, d1, d2, d = spectra._response(p, om, 1)
+    n = _noise_densities(p)
+    if command == "antistokes":
+        return n[1] * np.abs(p.g1 / d1)**2 + n[2] * np.abs(p.g2 / d2)**2, d, 1.0
+    num = (n[1] * np.abs(da + abs(p.g2)**2 / d2)**2
+           + n[2] * abs(p.g1 * p.g2)**2 / np.abs(d2)**2)
+    return num, d, np.abs(d1)**2
+
+
+FIGURE = dict(g1=0.3, g2=0.5, gamma1=0.01, gamma2=0.01, omega=0.1, nbar1=100.0)
+# flags and the power of two e that brings d back into range
+OVERFLOW_DENSITY = {
+    "antistokes": (dict(g1=1e150, g2=1e150, gamma1=0.01, gamma2=0.01,
+                        nbar1=1.0), 500),
+    "spectrum": (dict(g1=1e100, gamma1=0.01, nbar1=1e100), 400)}
+
+
+def run_density(command, flags, out):
+    argv = [command, *(f"--{k}={v}" for k, v in flags.items())]
+    assert invoke(argv + ["--output", str(out)]) == 0
+    data = np.loadtxt(out, delimiter=",")
+    num, d, rest = density_parts(command, SystemParams(kappa2=1.0, **flags),
+                                 data[:, 0])
+    return data[:, 1], num, d, rest
+
+
+@pytest.mark.parametrize("command", ["spectrum", "antistokes"])
+def test_finite_denominator_keeps_the_plain_quotient(command, tmp_path):
+    values, num, d, rest = run_density(command, FIGURE, tmp_path / "fig.csv")
+    assert np.array_equal(values, num / (np.abs(d)**2 * rest))
+
+
+@pytest.mark.parametrize("command", sorted(OVERFLOW_DENSITY))
+def test_density_survives_an_overflowing_denominator(command, tmp_path,
+                                                     capsys):
+    # a RuntimeWarning is an error in this suite, so none is raised either
+    flags, e = OVERFLOW_DENSITY[command]
+    values, num, d, rest = run_density(command, flags, tmp_path / "o.csv")
+    assert capsys.readouterr().err == ""
+    with np.errstate(over="ignore"):  # the plain denominator overflows
+        assert np.isinf(np.abs(d)**2 * rest).all()
+    # the plain quotient with num scaled by 2**-2e and d by 2**-e: exact
+    # rescalings by powers of two that keep every factor in range
+    ref = num * 2.0**(-2 * e) / (np.abs(d * 2.0**-e)**2 * rest)
+    assert (ref > np.finfo(float).tiny).all()
+    np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0)
+
+
+def test_density_below_the_float_range_is_zero_without_a_warning(tmp_path,
+                                                                  capsys):
+    # |d|^2 |d1|^2 is about 1e600: the exact density, about 1e-600, rounds
+    # to 0
+    values, *_ = run_density("spectrum", dict(g1=1e150, gamma1=0.01,
+                                              nbar1=1.0), tmp_path / "z.csv")
+    assert capsys.readouterr().err == ""
+    assert (values == 0).all()
+
+
+# ---------------------------------------------------------------------------
 # rejected inputs: one diagnostic line, no traceback, no output file
 
 
@@ -581,12 +589,43 @@ def test_arithmetic_failure_line_names_command_and_failure(command, tmp_path,
     assert invoke(argv) == 2
     assert capsys.readouterr().err == (f"numerical failure: {command}: "
                                        "a value left the float range\n")
-    config = RunConfig(command, {"g1": 1e200, "gamma1": 0.01, "nbar1": 1.0,
-                                 "output": str(tmp_path / "out")})
-    assert run(config) == 2
-    assert capsys.readouterr().err == (f"numerical failure: {command}: "
-                                       "a value left the float range\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_required_flags_are_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out = invoke(["sweep", "--axis", "g2"], capsys)
+    assert code == 1
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert all(flag in out.err for flag in ("--from", "--to", "--count",
+                                            "--output"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("count", ["1", "0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--gamma1", "0.01"], ["antistokes", "--gamma1", "0.01"],
+    ["sweep", "--gamma1", "0.01", "--axis", "g2", "--from", "0.1",
+     "--to", "0.6"]], ids=["spectrum", "antistokes", "sweep"])
+def test_count_below_two_is_one_rule(argv, count, tmp_path, capsys):
+    assert_rejected(argv + ["--count", count], "error: --count must be at "
+                    "least 2", tmp_path / "out.csv", capsys, 1)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    # 10**18 steps: the times alone need 8 EB
+    ["three-wave", "--t-end", "1e16", "--dt", "0.01"],
+    # 4e16 recorded steps: their times alone need 320 PB
+    ["simulate", "--gamma1", "0.05", "--gamma2", "0.05", "--t-end", "1e16",
+     "--dump-dir", "dump"]], ids=["three-wave", "simulate"])
+def test_an_unallocatable_run_is_one_error_line(argv, tmp_path, capsys,
+                                                monkeypatch):
+    # each request is beyond any 64-bit user address space, so it fails at
+    # once without touching memory
+    monkeypatch.chdir(tmp_path)
+    assert_rejected(argv, "allocate", tmp_path / "out", capsys, 1)
+    assert list(tmp_path.iterdir()) == []  # no dump directory either
 
 
 @pytest.mark.parametrize("exc, text", [
@@ -684,17 +723,6 @@ def test_kappa2_hz_must_be_finite_and_positive(command, value, tmp_path,
     assert list(tmp_path.iterdir()) == []  # no dump directory either
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -3.0, 0])
-def test_run_config_rejects_a_bad_kappa2_hz(value, tmp_path, capsys):
-    out = tmp_path / "cr.csv"
-    code = run(RunConfig("cooling-ratio", {"gamma1": 0.01, "gamma2": 0.01,
-                                           "kappa2_hz": value,
-                                           "output": str(out)}))
-    assert code == 1
-    assert "kappa2-hz must be finite and positive" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -775,12 +803,6 @@ def test_sweep_rejects_metric_and_axis_before_output(key, value, tmp_path,
     assert invoke(["sweep", *SWEEP_SYSTEM, "--axis", "g2", "--from", "0.1",
                    "--to", "0.6", "--count", "3", f"--{key}={value}",
                    "--output", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
-    assert list(tmp_path.iterdir()) == []
-    # the same value through run(RunConfig)
-    assert run(RunConfig("sweep", {**SWEEP, key: value,
-                                   "output": str(out)})) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert list(tmp_path.iterdir()) == []
@@ -1123,3 +1145,16 @@ def test_one_place_names_the_sidecar():
                             key=lambda f: f.lineno, default=None)
                 places.append((path.name, getattr(inner, "name", None)))
     assert places == [("cli.py", "_dispatch")]
+
+
+def test_the_parser_is_the_only_resolver():
+    # no module builds a namespace of flag values by hand: every run's
+    # values come from main's parser
+    names = []
+    for path in pathlib.Path(phonocool.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if isinstance(name, str) and name.endswith("Namespace"):
+                names.append((path.name, node.lineno))
+    assert names == []

@@ -217,6 +217,25 @@ def test_dump_files_independent_of_chunk_size(tmp_path, monkeypatch):
         assert f.read_bytes() == (tmp_path / "seven" / f.name).read_bytes()
 
 
+def test_record_times_are_built_only_for_the_dump(monkeypatch, tmp_path):
+    # 4e16 recorded steps: their times alone would need 320 PB, beyond any
+    # 64-bit user address space, so such a request fails without touching
+    # memory; a run that dumps nothing reaches the step loop (stopped here)
+    class Reached(Exception):
+        pass
+
+    def stop(*args):
+        raise Reached
+
+    monkeypatch.setattr(langevin, "_propagate", stop)
+    kw = dict(n_traj=2, t_end=1e16, dt=0.25, burn_in=1000.0)
+    with pytest.raises(Reached):
+        simulate_ensemble(OU, **kw)
+    with pytest.raises(MemoryError):
+        simulate_ensemble(OU, dump_dir=str(tmp_path / "dump"), **kw)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_periodogram_independent_of_batch_size(monkeypatch):
     kw = dict(n_traj=7, t_end=1400.0, dt=0.5, burn_in=200.0, seed=5,
               segment_length=512)
