@@ -79,14 +79,24 @@ class ModeField:
         return tuple(ax.size for ax in self.axes)
 
 
-def _partial(field_: ModeField, i: int, j: int) -> np.ndarray:
-    """d v_i / d x_j, shape (nx, ny, nz)."""
-    v, x = field_.values[..., i], field_.axes[j]
+def _partial(field_: ModeField, i: int, j: int, out: np.ndarray | None = None,
+             planes: slice = slice(None)) -> np.ndarray:
+    """d v_i / d x_j, shape (nx, ny, nz), written into `out` if given.
+
+    `planes` restricts it to a range of x-planes, for j along y or z only:
+    the stencil then stays inside those planes, and each element is the
+    one the whole-grid partial holds.
+    """
+    v, x = field_.values[planes, ..., i], field_.axes[j]
     if not field_.periodic[j]:
-        return np.gradient(v, x, axis=j, edge_order=2)
+        d = np.gradient(v, x, axis=j, edge_order=2)
+        if out is None:
+            return d
+        out[...] = d
+        return out
     # centred difference with wrap-around, bitwise np.gradient on the
     # wrap-padded axis: same subtractions, then the same division by 2h
-    d = np.empty(v.shape, dtype=complex)
+    d = np.empty(v.shape, dtype=complex) if out is None else out
     dj, vj = np.moveaxis(d, j, 0), np.moveaxis(v, j, 0)
     np.subtract(vj[2:], vj[:-2], out=dj[1:-1])
     np.subtract(vj[1], vj[-1], out=dj[0])
@@ -101,16 +111,33 @@ def divergence(field_: ModeField) -> np.ndarray:
 
 
 def curl(field_: ModeField) -> np.ndarray:
-    """Discrete curl of the vector field, shape (nx, ny, nz, 3)."""
+    """Discrete curl of the vector field, shape (nx, ny, nz, 3).
+
+    Component i is d v_k/d x_j - d v_j/d x_k.  The partial along x (for
+    component 0, the first) is written whole into the output; the other,
+    along y or z, is taken and subtracted x-slab by x-slab, so the curl
+    needs no full-grid temporary.
+    """
     out = np.empty(field_.shape + (3,), dtype=complex)
+    plane = field_.shape[1] * field_.shape[2]
+    slabs = [slice(s.start // plane, s.stop // plane) for s in _slabs(field_)]
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.subtract(_partial(field_, k, j), _partial(field_, j, k),
-                    out=out[..., i])
+        o = out[..., i]
+        if k == 0:  # the second partial is the one along x
+            _partial(field_, j, k, o)
+            for s in slabs:
+                np.subtract(_partial(field_, k, j, None, s), o[s], out=o[s])
+        else:
+            _partial(field_, k, j, o)
+            for s in slabs:
+                np.subtract(o[s], _partial(field_, j, k, None, s), out=o[s])
     return out
 
 
 def _check_longitudinal(field_: ModeField) -> None:
-    c = np.abs(curl(field_)).max()
+    rows = curl(field_).reshape(-1, 3)
+    c = np.max([np.abs(rows[s]).max() for s in _slabs(field_)])  # NaN wins
+    del rows
     # scale against the overall derivative magnitude, all nine partials, so
     # a transverse field (curl ~ derivative scale) is rejected while
     # finite-difference noise on a genuinely curl-free field passes; the

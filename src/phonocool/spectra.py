@@ -110,8 +110,15 @@ def _phonon_density(p: SystemParams, mode: int, omega) -> np.ndarray:
     # noise density and denominator of this mode (i) and of the other (j)
     (ni, di), (nj, dj, gj) = (((n[1], d1), (n[2], d2, p.g2)) if mode == 1
                               else ((n[2], d2), (n[1], d1, p.g1)))
-    num = (ni * np.abs(da + abs(gj)**2 / dj)**2
-           + nj * abs(p.g1 * p.g2)**2 / np.abs(dj)**2)
+    a = da + abs(gj)**2 / dj  # the cavity dressed by mode j
+    with np.errstate(over="ignore"):
+        num = np.asarray(ni * np.abs(a)**2
+                         + nj * abs(p.g1 * p.g2)**2 / np.abs(dj)**2)
+    big = np.isinf(num)
+    if big.any():  # |a|^2 overflowed: divide num by it there, and d by a
+        a, dj, d = np.asarray(a)[big], np.asarray(dj)[big], np.array(d)
+        num[big] = ni + nj * (abs(p.g1 * p.g2) / np.abs(dj) / np.abs(a))**2
+        d[big] /= a
     return _over_squares(num, d, di)
 
 

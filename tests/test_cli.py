@@ -507,6 +507,23 @@ def test_density_below_the_float_range_is_zero_without_a_warning(tmp_path,
     assert (values == 0).all()
 
 
+def test_density_with_an_overflowing_numerator_cancels_the_dressed_cavity(
+        tmp_path, capsys):
+    # mode 2 with a huge G1: |da + |G1|^2/d1|^2 overflows in the numerator
+    # and in |d|^2 alike; with G2 = 0 the density is exactly n2 / |d2|^2
+    flags = dict(mode=2, g1=1e150, gamma1=0.01, gamma2=0.01, nbar1=1)
+    out = tmp_path / "s.csv"
+    assert invoke(["spectrum", *(f"--{k}={v}" for k, v in flags.items()),
+                   "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    data = np.loadtxt(out, delimiter=",")
+    del flags["mode"]
+    p = SystemParams(kappa2=1.0, **flags)
+    *_, d2, _ = spectra._response(p, data[:, 0], 2)
+    np.testing.assert_allclose(data[:, 1], _noise_densities(p)[2] / np.abs(d2)**2,
+                               rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # rejected inputs: one diagnostic line, no traceback, no output file
 

@@ -233,6 +233,76 @@ def test_longitudinal_check_allocates_no_jacobian():
     assert peak < 3 * f.values.nbytes
 
 
+def _two_partial_curl(f):
+    """The whole-array curl: each component one np.subtract of two
+    whole-grid partials."""
+    out = np.empty(f.shape + (3,), dtype=complex)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(coupling._partial(f, k, j), coupling._partial(f, j, k),
+                    out=out[..., i])
+    return out
+
+
+def _slab_curl_fields():
+    rng = np.random.default_rng(8)
+    for periodic, shape in (((True,) * 3, (11, 5, 4)),
+                            ((False,) * 3, (11, 5, 4)),
+                            ((True, False, True), (10, 4, 6)),
+                            ((False, True, False), (9, 6, 4)),
+                            ((True,) * 3, (7, 2, 2))):
+        axes = [np.linspace(0.0, 0.5 * (n + 1), n, endpoint=not per)
+                for n, per in zip(shape, periodic)]
+        yield ModeField(axes, rng.normal(size=shape + (3,))
+                        + 1j * rng.normal(size=shape + (3,)), periodic=periodic)
+    # non-uniform open axes: np.gradient's general three-point stencil
+    axes = [np.cumsum(rng.uniform(0.05, 0.2, n)) for n in (10, 5, 7)]
+    yield ModeField(axes, rng.normal(size=(10, 5, 7, 3))
+                    + 1j * rng.normal(size=(10, 5, 7, 3)))
+
+
+@pytest.mark.parametrize("planes", [1, 3, 4, 1000])
+def test_slab_curl_is_the_two_partial_curl_bit_for_bit(planes, monkeypatch):
+    # several x-slabs and a short last one (nx = 11, 10, 9 or 7 planes in
+    # slabs of 3 or 4), one plane per slab, and one slab for the grid
+    for f in _slab_curl_fields():
+        monkeypatch.setattr(coupling, "_SLAB_CELLS",
+                            planes * f.shape[1] * f.shape[2])
+        got, want = curl(f), _two_partial_curl(f)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_partial_into_an_output_is_the_returned_partial():
+    for f in _slab_curl_fields():
+        for i, j in np.ndindex(3, 3):
+            want = coupling._partial(f, i, j)
+            out = np.full(f.shape + (3,), np.nan, dtype=complex)
+            got = coupling._partial(f, i, j, out[..., i])
+            assert np.shares_memory(got, out)
+            got = np.ascontiguousarray(out[..., i])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            if j:  # a range of x-planes holds the same elements
+                part = coupling._partial(f, i, j, None, slice(2, 5))
+                assert np.array_equal(part.view(np.uint64),
+                                      want[2:5].view(np.uint64))
+
+
+@pytest.mark.parametrize("route", ["check", "curl"])
+def test_curl_check_peaks_at_about_one_field(route):
+    # the curl itself is one field; the second partials per x-slab and
+    # max|curl| per slab add little, and the curl is gone before the
+    # scale loop.  Two whole-grid partials beside the curl read 1.70
+    f = plane_wave(periodic_box(64), [2 * np.pi, 0, 0], [1, 0, 0],
+                   periodic=(True, True, True))
+    run = coupling._check_longitudinal if route == "check" else curl
+    tracemalloc.start()
+    try:
+        run(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * f.values.nbytes
+
+
 def _decision(check, field_):
     """None if check accepts field_, else the message it rejects it with."""
     try:
