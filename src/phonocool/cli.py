@@ -378,22 +378,17 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """A new phonocool parser, the caller's to keep or change.  When
-    `command` names a command, only its subparser is registered, with its
-    flags; otherwise (None, or any other text) every command is registered
-    with its help text and flags, so top-level help and the error for an
-    unknown name list them all.  `main` does not use the parsers this
-    returns: it builds its own once per process."""
+def build_parser() -> _Parser:
+    """A new phonocool parser of every command, the caller's to keep or
+    change; `main` does not use the parsers this returns: it builds its own
+    once per process."""
     parser = _Parser(prog="phonocool",
                      description="Phonon cooling spectra, dynamics, and "
                                  "Monte Carlo (all rates in kappa2 units)")
     parser.add_argument("--version", action="version",
                         version=f"phonocool {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = [command] if command in COMMANDS else COMMANDS
-    for name in names:
-        _, text, flags = COMMANDS[name]
+    for name, (_, text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for option, kwargs in flags:
             p.add_argument(option, **kwargs)
@@ -401,11 +396,11 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 @functools.cache
-def _parser(command: str | None) -> _Parser:
-    """build_parser(command), built once per process for `main`, keyed by
-    a command name or None.  parse_args leaves a parser unchanged, and help
-    reads the terminal width when it is printed, not when it is built."""
-    return build_parser(command)
+def _parser() -> _Parser:
+    """build_parser(), built once per process for `main`.  parse_args
+    leaves a parser unchanged, and help reads the terminal width when it
+    is printed, not when it is built."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +427,7 @@ def _dispatch(argv: list[str]) -> int:
     writes a sidecar, <output>.meta.json, as _meta(args, **record), and
     then prints `wrote <output>`."""
     try:
-        expanded = _expand_config(argv)
-        # a command not in first place (after -h, say) gets the full parser
-        command = next(iter(expanded), None)
-        key = command if command in COMMANDS else None
-        args = _parser(key).parse_args(expanded)
+        args = _parser().parse_args(_expand_config(argv))
         if args.kappa2_hz is not None and not 0 < args.kappa2_hz < np.inf:
             raise CliError("kappa2-hz must be finite and positive, "
                            f"got {args.kappa2_hz!r}")
@@ -459,8 +450,8 @@ def _dispatch(argv: list[str]) -> int:
 def main(argv=None) -> int:
     """Parse `argv` (default: the process arguments) and run its command;
     returns the exit status: 0 ok, 1 usage or validation failure, 2
-    numerical failure.  The parser of the invoked command is built on the
-    first call that names it and reused after."""
+    numerical failure.  One parser of every command is built on the first
+    call and reused after."""
     return _dispatch(list(sys.argv[1:] if argv is None else argv))
 
 

@@ -273,22 +273,17 @@ class WelchSpectra:
 
 def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
                 burn_in: float, seed: int = 0,
-                segment_length: int | None = None, overlap: float = 0.5,
-                omegas=None) -> WelchSpectra:
+                segment_length: int | None = None) -> WelchSpectra:
     """Welch periodogram of the simulated phonon amplitudes b1(t), b2(t).
 
     segment_length is in samples (default: the whole post-burn-in record,
-    one segment per trajectory); segments overlap by the given fraction in
-    [0, 1) and are Hann-windowed.  If an omegas grid is supplied, the
-    native FFT bins are linearly interpolated onto it, and each of its
-    points must lie within their range.  t_end and burn_in
-    must be whole numbers of steps dt, segment_length a whole number;
-    n_traj must be at least 1.
+    one segment per trajectory); segments are Hann-windowed and overlap by
+    half.  The spectra are on the native FFT bins, in increasing order.
+    t_end and burn_in must be whole numbers of steps dt, segment_length a
+    whole number; n_traj must be at least 1.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    if not 0 <= overlap < 1:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap!r}")
     n_burn, n_rec = _record(t_end, dt, burn_in)
     gammas = [g for g in (params.gamma1, params.gamma2) if g > 0]
     if gammas and (t_end - burn_in) < 50.0 / min(gammas):
@@ -301,19 +296,8 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
     n_seg = n_rec if segment_length is None else int(segment_length)
     if n_seg < 8 or n_seg > n_rec:
         raise ValueError("segment_length must be in [8, record length]")
-    om_native = 2 * np.pi * np.fft.fftfreq(n_seg, d=dt)
-    order = np.argsort(om_native)
-    if omegas is not None:
-        omegas = np.asarray(omegas, dtype=float)
-        band = om_native.min(), om_native.max()
-        # NaN fails both comparisons
-        if not np.all((omegas >= band[0]) & (omegas <= band[1])):
-            raise ValueError(
-                "omegas must be finite and lie in the native FFT band "
-                f"[{band[0]:.6g}, {band[1]:.6g}] of segment_length {n_seg} "
-                f"and dt {dt:g}")
     _warn_short_burn_in(params, burn_in)
-    hop = max(1, int(round(n_seg * (1.0 - overlap))))
+    hop = max(1, int(round(n_seg * 0.5)))
     starts = range(0, n_rec - n_seg + 1, hop)
 
     win = np.hanning(n_seg)
@@ -351,17 +335,12 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
                 i += 1
 
     s_mean = s_sum / count
-    var = np.clip(s_sqsum / count - s_mean**2, 0.0, None)
-    s_err = np.sqrt(var / count)
-
-    curves = [s_mean[0, order], s_mean[1, order],
-              s_err[0, order], s_err[1, order]]
-    if omegas is None:
-        omegas = om_native[order]
-    else:
-        curves = [np.interp(omegas, om_native[order], v) for v in curves]
+    s_err = np.sqrt(np.clip(s_sqsum / count - s_mean**2, 0.0, None) / count)
     occ = (sums / n_rec).mean(axis=0)
-    return WelchSpectra(omegas, *curves,
+    om = 2 * np.pi * np.fft.fftfreq(n_seg, d=dt)
+    order = np.argsort(om)
+    return WelchSpectra(om[order], s_mean[0, order], s_mean[1, order],
+                        s_err[0, order], s_err[1, order],
                         occupancy_time_avg=(float(occ[0]), float(occ[1])),
                         n_segments=count)
 

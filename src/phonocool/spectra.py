@@ -63,7 +63,8 @@ def _response(p: SystemParams, omega, mode: int | None = None):
     the coupled cavity response d = da + |G1|^2/d1 + |G2|^2/d2.  A dropped
     mode's denominator is returned as infinite, so each term it divides
     (all with a zero numerator) is zero.  Raises SingularityError when
-    omega hits the pole of any other zero-width mode."""
+    omega hits the pole of any other zero-width mode, and OverflowError
+    when d leaves the float range at a finite omega."""
     omega = np.asarray(omega, dtype=float)
     da = 1j * (p.delta - omega) + p.kappa2
     dens = [1j * (p.omega - omega) + p.gamma1,
@@ -76,7 +77,11 @@ def _response(p: SystemParams, omega, mode: int | None = None):
             raise SingularityError(
                 f"pole hit: gamma{i} = 0 at omega = {sign}Omega")
     d1, d2 = dens
-    return da, d1, d2, da + abs(p.g1)**2 / d1 + abs(p.g2)**2 / d2
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = da + abs(p.g1)**2 / d1 + abs(p.g2)**2 / d2
+    if np.any(np.isfinite(omega) & ~np.isfinite(d)):
+        raise OverflowError("coupled cavity response is not finite")
+    return da, d1, d2, d
 
 
 def _mode(p: SystemParams, mode: int):

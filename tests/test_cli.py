@@ -353,27 +353,25 @@ def test_every_command_round_trips_through_its_sidecar(command, tmp_path,
 
 
 # ---------------------------------------------------------------------------
-# main builds the parser of the invoked command only; it must parse, help
-# and fail exactly as the parser of every command does
+# main parses with one parser of every command
 
 
 @pytest.mark.parametrize("command", sorted(ROUND_TRIP))
-def test_one_command_parser_parses_as_the_full_parser(command, tmp_path):
+def test_sidecar_replay_parses_as_the_command_line(command, tmp_path):
     argv = [command, *ROUND_TRIP[command][0], "--output", "out"]
     sidecar = tmp_path / "out.meta.json"
     _write_json(sidecar, {"config": ROUND_TRIP[command][1]})
     replay = _expand_config([command, "--config", str(sidecar)])
-    parsed = [build_parser(command).parse_args(a) for a in (argv, replay)]
-    assert parsed == [build_parser().parse_args(a) for a in (argv, replay)]
-    assert parsed[0] == parsed[1]
+    parser = build_parser()
+    assert parser.parse_args(replay) == parser.parse_args(argv)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_one_command_help_is_the_full_parsers(command, capsys):
+def test_help_before_a_command_is_the_top_level_help(command, capsys):
     texts = []
-    for parser in (build_parser(command), build_parser()):
+    for parse in (main, build_parser().parse_args):
         with pytest.raises(SystemExit):
-            parser.parse_args([command, "--help"])
+            parse([command, "--help"])
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     assert texts[0].startswith(f"usage: phonocool {command} [-h]")
@@ -605,6 +603,25 @@ def test_arithmetic_failure_line_names_command_and_failure(command, tmp_path,
             "--output", str(tmp_path / "out")]
     assert invoke(argv) == 2
     assert capsys.readouterr().err == (f"numerical failure: {command}: "
+                                       "a value left the float range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["spectrum", "--mode", "1"],
+                                     ["spectrum", "--mode", "2"],
+                                     ["antistokes"]],
+                         ids=["spectrum-mode1", "spectrum-mode2", "antistokes"])
+def test_overflowing_cavity_response_is_a_numerical_failure(command, tmp_path,
+                                                            capsys):
+    # |g1|^2 = 1e308 is a float, but |g1|^2 / d1 leaves the float range near
+    # the resonance: exit 2 with no warning and no file (mode 1 used to
+    # write an all-zero curve)
+    argv = [*command, "--g1", "1e154", "--gamma1", "0.01", "--gamma2", "0.01",
+            "--nbar1", "1", "--output", str(tmp_path / "s.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invoke(argv) == 2
+    assert capsys.readouterr() == ("", f"numerical failure: {command[0]}: "
                                        "a value left the float range\n")
     assert list(tmp_path.iterdir()) == []
 
@@ -874,8 +891,8 @@ def test_config_given_twice_is_rejected(first, second, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# main builds each command's parser once per process and reuses it; the
-# reused parser parses, fails and helps as a fresh one does
+# main builds its parser once per process and reuses it; the reused
+# parser parses, fails and helps as a fresh one does
 
 REUSE_ARGV = ["cooling-ratio", *ROUND_TRIP["cooling-ratio"][0],
               "--output", "out"]
@@ -893,20 +910,20 @@ def test_main_builds_each_parser_once(fresh_parsers, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     built = []
 
-    def counting(command=None):
-        built.append(command)
-        return build_parser(command)
+    def counting():
+        built.append(True)
+        return build_parser()
     monkeypatch.setattr(cli, "build_parser", counting)
     for _ in range(5):
         assert main(REUSE_ARGV) == 0
-    assert built == ["cooling-ratio"]
-    # any text that is not a command shares the one full parser
+    assert len(built) == 1
+    # every command, and any text that is not one, shares that parser
     for argv in (["no-such-command"], ["other"], ["--g1", "0.3"]):
         assert main(argv) == 1
     assert main(["spectrum", "--gamma1", "0.01", "--gamma2", "0.01",
                  "--count", "3", "--output", "s"]) == 0
-    assert built == ["cooling-ratio", None, "spectrum"]
-    assert cli._parser.cache_info().currsize == 3
+    assert len(built) == 1
+    assert cli._parser.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("bad", [
@@ -969,9 +986,10 @@ def subparser(parser, command):
     ("cooling-ratio", ["cooling-ratio", "--gamma1", "0.01", "--extra", "1"])])
 def test_changing_a_built_parser_leaves_main_unchanged(command, argv,
                                                        fresh_parsers, capsys):
+    # `command` names the subparser that gains the flag, None the top level
     assert main(argv) == 1  # main's parser exists from here on
     rejected = capsys.readouterr().err
-    parser = build_parser(command)
+    parser = build_parser()
     target = parser if command is None else subparser(parser, command)
     target.add_argument("--extra")
     assert parser.parse_args(argv).extra == "1"

@@ -346,6 +346,26 @@ def test_curl_check_decides_as_the_nine_partial_reference():
     assert decisions == {True, False}
 
 
+def test_curl_check_reads_every_slab():
+    # a longitudinal wave along x plus a transverse bump in x-planes 20-27:
+    # three slabs of 16 planes on a 32 x 32 face, and the curl is exactly
+    # zero outside planes 19-28, so slab 0 and the periodic seam hold none
+    n = (48, 32, 32)
+    axes = tuple(np.arange(k) / k for k in n)
+    x = np.broadcast_to(axes[0][:, None, None], n)
+    values = np.zeros(n + (3,), dtype=complex)
+    values[..., 0] = np.exp(2j * np.pi * x)
+    values[20:28, ..., 1] = np.sin(np.pi * (np.arange(20, 28) - 19.5) / 8)[
+        :, None, None]
+    f = ModeField(axes, values, periodic=(True, True, True))
+    assert len(list(coupling._slabs(f))) == 3
+    c = np.abs(curl(f)).max(axis=(1, 2, 3))
+    assert c[19] > 0 and c[28] > 0
+    assert not c[:19].any() and not c[29:].any()
+    with pytest.raises(GridError, match="longitudinal"):
+        replace(f, longitudinal=True)
+
+
 def test_curl_check_accepts_after_one_partial_beyond_the_curl(monkeypatch):
     # a longitudinal wave: its first diagonal partial settles the scale
     f = plane_wave(periodic_box(16), [2 * np.pi, 0, 0], [1, 0, 0],

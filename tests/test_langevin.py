@@ -141,6 +141,38 @@ def test_reported_stderr_is_the_exact_spread_of_one_trajectory():
     assert np.allclose(per_traj, sd, rtol=0.06, atol=0)
 
 
+@pytest.mark.filterwarnings("ignore:burn_in")
+@pytest.mark.parametrize("n_traj", [2, 3])
+def test_stderr_is_the_ddof_one_spread_of_trajectory_means(n_traj):
+    # each trajectory's time average of |b_i|^2 from the bitwise reference
+    # records; ddof 0 would read sqrt(1/2) or sqrt(2/3) of it
+    dt, n_burn, n_rec, seed = 0.5, 40, 300, 17
+    stats = simulate_ensemble(COUPLED, n_traj=n_traj, t_end=(n_burn + n_rec) * dt,
+                              dt=dt, burn_in=n_burn * dt, seed=seed)
+    e, c = _propagator(COUPLED, dt)
+    records = reference_batch(e, c, seed, 0, n_traj, n_burn, n_rec)
+    means = np.mean(np.abs(records[..., 1:])**2, axis=1)
+    spread = np.sqrt(((means - means.mean(axis=0))**2).sum(axis=0)
+                     / (n_traj - 1) / n_traj)
+    np.testing.assert_allclose(stats.occupancy_stderr, spread, rtol=1e-12,
+                               atol=0)
+
+
+@pytest.mark.parametrize("burn_in, warns", [(40.0, False), (39.5, True)])
+def test_burn_in_warning_threshold_is_ten_over_the_slowest_rate(burn_in,
+                                                                warns):
+    # uncoupled: the decay rates are 1, 0.25 and 0.25 exactly, so the
+    # threshold is 10 / 0.25 = 40
+    p = SystemParams(kappa2=1.0, delta=0.3, omega=0.5, gamma1=0.25,
+                     gamma2=0.25, nbar1=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        langevin._warn_short_burn_in(p, burn_in)
+    assert [str(w.message) for w in caught] == (
+        ["burn_in = 39.5 is shorter than 10/min decay rate = 40; the slowest "
+         "mode may not be thermalized"] if warns else [])
+
+
 def test_burn_in_guard_warns():
     with pytest.warns(UserWarning, match="burn_in"):
         simulate_ensemble(OU, n_traj=4, t_end=150.0, dt=0.5, burn_in=10.0,
@@ -259,7 +291,7 @@ def _propagated(e, c, seed, lo, hi, n_burn, n_rec):
 @pytest.mark.filterwarnings("ignore:burn_in")
 @pytest.mark.parametrize("chunk", [7, 512])  # 7: segments across many seams
 @pytest.mark.parametrize("segment_length", [8, 300, None])
-@pytest.mark.parametrize("overlap", [0.0, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("overlap", [0.5])  # periodogram's fixed overlap
 def test_streamed_welch_is_the_whole_record_reference(overlap, segment_length,
                                                       chunk, monkeypatch):
     # 1100 recorded samples after 40 burn-in steps cross the 512-step seams
@@ -270,7 +302,7 @@ def test_streamed_welch_is_the_whole_record_reference(overlap, segment_length,
     dt, n_burn, n_rec, seed = 0.5, 40, 1100, 12
     w = periodogram(p, n_traj=7, t_end=(n_burn + n_rec) * dt, dt=dt,
                     burn_in=n_burn * dt, seed=seed,
-                    segment_length=segment_length, overlap=overlap)
+                    segment_length=segment_length)
     e, c = _propagator(p, dt)
     records = _propagated(e, c, seed, 0, 7, n_burn, n_rec)
     *curves, occ, count = reference_welch(records, dt, segment_length or n_rec,
@@ -500,17 +532,6 @@ def test_periodogram_rejects_empty_ensemble(monkeypatch):
             periodogram(OU, n_traj=0, t_end=1100.0, dt=0.5, burn_in=10.0)
 
 
-@pytest.mark.parametrize("overlap", [1.0, 1.5, -1.0, float("nan")])
-def test_periodogram_rejects_overlap_outside_unit_interval(overlap,
-                                                           monkeypatch):
-    monkeypatch.setattr(langevin, "_propagator", _no_propagation)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"overlap must be in \[0, 1\)"):
-            periodogram(OU, n_traj=2, t_end=1100.0, dt=0.5, burn_in=10.0,
-                        overlap=overlap)
-
-
 @pytest.mark.parametrize("segment_length, match", [
     (4, r"segment_length must be in \[8, record length\]"),
     (2181, r"segment_length must be in \[8, record length\]"),
@@ -552,40 +573,12 @@ def test_periodogram_occupancy_equals_ensemble_mean():
     assert np.allclose(occ, mean, rtol=1e-12, atol=0)
 
 
-def test_periodogram_interpolates_requested_grid():
-    p = SystemParams(kappa2=1.0, omega=0.1, gamma1=0.05, gamma2=0.05,
-                     nbar1=10.0)
-    grid = np.linspace(-0.5, 0.5, 201)
-    w = periodogram(p, n_traj=32, t_end=1500.0, dt=0.5, burn_in=300.0,
-                    seed=3, omegas=grid)
-    assert np.array_equal(w.omegas, grid)
-    # a valid spectrum curve once clipped at zero: increasing and finite
-    SpectrumCurve(w.omegas, np.clip(w.s1, 0.0, None), kind="phonon1")
-    assert w.s1.shape == grid.shape
-
-
-@pytest.mark.parametrize("bad", [6.3, -6.3, 1000.0, float("nan"),
-                                 float("inf")])
-def test_periodogram_rejects_omegas_outside_native_band(bad, monkeypatch):
-    # 256 samples of dt = 0.5: native bins from -pi/dt to pi/dt minus one bin;
-    # np.interp would return the edge value there; burn_in = 10 would warn,
-    # the rejection must come first
-    monkeypatch.setattr(langevin, "_propagator", _no_propagation)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError,
-                           match=r"native FFT band \[-6.28319, 6.2341\]"):
-            periodogram(OU, n_traj=2, t_end=1400.0, dt=0.5, burn_in=10.0,
-                        segment_length=256, omegas=[0.0, 5.0, bad])
-
-
-def test_periodogram_accepts_omegas_on_band_edges():
-    kw = dict(n_traj=2, t_end=1400.0, dt=0.5, burn_in=200.0, seed=1,
-              segment_length=256)
-    native = periodogram(OU, **kw)
-    edges = native.omegas[[0, -1]]
-    w = periodogram(OU, omegas=edges, **kw)
-    assert np.array_equal(w.s1, native.s1[[0, -1]])
+@pytest.mark.parametrize("option", ["overlap", "omegas"])
+def test_periodogram_takes_no_overlap_or_grid(option):
+    # half-overlapping segments on the native bins; np.interp regrids them
+    with pytest.raises(TypeError, match=option):
+        periodogram(OU, n_traj=2, t_end=1200.0, dt=0.5, burn_in=100.0,
+                    **{option: 0.5})
 
 
 @pytest.mark.parametrize("name", ["t_end", "dt", "burn_in"])

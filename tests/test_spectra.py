@@ -146,6 +146,24 @@ def test_spectrum_grid_span_warning():
         phonon_spectrum(FIG2, 1, np.linspace(-0.05, 0.05, 50))
 
 
+@pytest.mark.parametrize("grid, warns", [
+    ((-5.5, 5.5), False),
+    ((np.nextafter(-5.5, 0.0), 5.5), True),
+    ((-5.5, np.nextafter(5.5, 0.0)), True),
+    ((-5.49, 5.5), True)], ids=["spans", "short-low", "short-high", "short"])
+def test_grid_span_warning_threshold_is_twenty_half_widths(grid, warns):
+    # resonances at +-0.5 and a widest half-width of 0.25: the grid must
+    # reach 0.5 + 20 * 0.25 = 5.5 on both sides
+    p = SystemParams(kappa2=1.0, omega=0.5, gamma1=0.25, gamma2=0.1, g1=0.3,
+                     nbar1=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        phonon_spectrum(p, 1, np.linspace(*grid, 11))
+    assert [str(w.message) for w in caught] == (
+        [f"frequency grid [{grid[0]:g}, {grid[1]:g}] does not span "
+         "[-5.5, 5.5] around both resonances"] if warns else [])
+
+
 def test_spectrum_curve_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         SpectrumCurve(np.array([0.0, 0.0, 1.0]), np.zeros(3), "phonon1")
@@ -415,6 +433,17 @@ def test_cooling_ratio_adiabatic_estimate():
     p = replace(FIG2, g2=0j)
     est = cooling_ratio_adiabatic(p, 1)
     assert est == pytest.approx(0.101, abs=1e-3)
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_adiabatic_estimate_is_the_hand_written_lorentzian(mode):
+    # kappa2 = 2.5, so the Lorentzian's kappa2^2 and kappa2 are told apart
+    p = SystemParams(kappa2=2.5, delta=0.7, omega=0.3, gamma1=0.02,
+                     gamma2=0.03, g1=0.4 + 0.1j, g2=0.2 - 0.3j, nbar1=5.0)
+    gamma, g, res = ((0.02, 0.4 + 0.1j, 0.3) if mode == 1
+                     else (0.03, 0.2 - 0.3j, -0.3))
+    want = gamma / (gamma + abs(g)**2 * 2.5 / (2.5**2 + (0.7 - res)**2))
+    assert cooling_ratio_adiabatic(p, mode) == pytest.approx(want, rel=1e-14)
 
 
 def test_single_mode_cooling_monotone_in_g1():
