@@ -158,10 +158,16 @@ def _meta(args, **extra) -> dict:
 # adds, or returns None when it wrote no file
 
 
-def _grid(args, start: float, stop: float, scale: str = "linear"):
-    """--count points from start to stop, evenly or geometrically spaced."""
+def _grid(args, ends: dict[str, float], scale: str = "linear"):
+    """--count points between the two ends, {flag: value} from start to
+    stop, evenly or geometrically spaced; a non-finite end is rejected by
+    its flag before any arithmetic."""
     if args.count < 2:
         raise CliError("--count must be at least 2")
+    for flag, value in ends.items():
+        if not np.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value!r}")
+    start, stop = ends.values()
     if scale == "log":
         if start <= 0 or stop <= 0:
             raise CliError("log scale needs positive --from/--to")
@@ -171,7 +177,8 @@ def _grid(args, start: float, stop: float, scale: str = "linear"):
 
 def cmd_spectrum(args) -> dict:
     params = _build_params(args)
-    omegas = _grid(args, args.omega_min, args.omega_max)
+    omegas = _grid(args, {"--omega-min": args.omega_min,
+                          "--omega-max": args.omega_max})
     curve = spectra.phonon_spectrum(params, args.mode, omegas,
                                     normalized=args.normalized)
     return spectra.save_curve(args.output, curve, params)
@@ -179,7 +186,8 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_antistokes(args) -> dict:
     params = _build_params(args)
-    omegas = _grid(args, args.omega_min, args.omega_max)
+    omegas = _grid(args, {"--omega-min": args.omega_min,
+                          "--omega-max": args.omega_max})
     curve = spectra.antistokes_spectrum(params, omegas)
     return spectra.save_curve(args.output, curve, params)
 
@@ -207,7 +215,8 @@ def cmd_simulate(args) -> dict | None:
 
 
 def cmd_sweep(args) -> dict:
-    values = _grid(args, args.start, args.stop, args.scale)
+    values = _grid(args, {"--from": args.start, "--to": args.stop},
+                   args.scale)
     _build_params(args)
     name, _, mode = args.metric.partition(":")
     name, mode = name.replace("-", "_"), int(mode or 1)

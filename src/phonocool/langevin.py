@@ -33,6 +33,8 @@ _TRAJ_BATCH = 512  # trajectories propagated per vectorized block
 # order, and so their last bits, depend on it
 _WELCH_BATCH = 64
 _CHUNK = 512  # steps drawn and propagated per block
+# rows drawn, or steps shaped or summed, per small temporary of a chunk
+_BLOCK = 16
 # concurrent.futures.ThreadPoolExecutor, imported by the first _propagate
 # call so that no other command pays for it; a module attribute, so it
 # can be replaced
@@ -155,18 +157,26 @@ def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
     # a lone row would go through BLAS gemv, which rounds differently from
     # the gemm of larger batches: pad it with a row of zeros that stays zero
     rows = max(hi - lo, 2)
-    draws = np.zeros((rows, _CHUNK, 3), dtype=complex)
-    buf = np.empty((_CHUNK, rows, 3), dtype=complex)  # time-major
+    buf = np.zeros((_CHUNK, rows, 3), dtype=complex)  # time-major
     x = np.zeros((rows, 3), dtype=complex)
 
     def fill(half: int, k: int) -> None:  # each row from its own stream
-        for j in range(half * (hi - lo) // 2, (half + 1) * (hi - lo) // 2):
-            v = draws[j, :k].view(float)  # (re + i im) / sqrt(2), in place
-            gens[j].standard_normal(out=v)
-            v *= 1.0 / np.sqrt(2.0)
+        first, stop = half * (hi - lo) // 2, (half + 1) * (hi - lo) // 2
+        w = np.empty((min(_BLOCK, stop - first), k, 3), dtype=complex)
+        v = w.view(float)  # (re + i im) / sqrt(2), in place
+        for g in range(first, stop, _BLOCK):
+            n = min(_BLOCK, stop - g)
+            for j in range(n):
+                gens[g + j].standard_normal(out=v[j])
+            v[:n] *= 1.0 / np.sqrt(2.0)
+            buf[:k, g:g + n] = w[:n].transpose(1, 0, 2)
 
-    def shape(steps: slice) -> None:  # split by step: each gemm has all rows
-        np.matmul(draws[:, steps].transpose(1, 0, 2), ct, out=buf[steps])
+    def shape(steps: range) -> None:  # split by step: each gemm has all rows
+        tmp = np.empty((_BLOCK, rows, 3), dtype=complex)
+        for s in steps[::_BLOCK]:
+            n = min(_BLOCK, steps.stop - s)
+            np.matmul(buf[s:s + n], ct, out=tmp[:n])
+            buf[s:s + n] = tmp[:n]
 
     global ThreadPoolExecutor
     if ThreadPoolExecutor is None:
@@ -175,7 +185,7 @@ def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
         for start in range(0, n_burn + n_rec, _CHUNK):
             k = min(_CHUNK, n_burn + n_rec - start)
             list(pool.map(fill, (0, 1), (k, k)))
-            list(pool.map(shape, (slice(0, k // 2), slice(k // 2, k))))
+            list(pool.map(shape, (range(k // 2), range(k // 2, k))))
             for s in range(k):
                 buf[s] += x @ et
                 x = buf[s]
@@ -189,9 +199,13 @@ def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
 def _add_occupancy(sums: np.ndarray, block: np.ndarray) -> None:
     """Add each trajectory's sums of |b1|^2 and |b2|^2 over a recorded block
     of _propagate to its row of sums."""
-    a = np.abs(block[..., 1:])
-    a *= a
-    sums += a.sum(axis=1)
+    part = 0.0  # the sum runs on in step order, as over one whole block
+    for s in range(0, block.shape[1], _BLOCK):
+        a = np.abs(block[:, s:s + _BLOCK, 1:])
+        a *= a
+        a[:, 0] += part
+        part = a.sum(axis=1)
+    sums += part
 
 
 def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
@@ -316,6 +330,7 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
         hi = min(lo + _WELCH_BATCH, n_traj)
         ring = np.empty((hi - lo, cap, 2), dtype=complex)
         seg = np.empty((hi - lo, n_seg, 2), dtype=complex)
+        pxx = np.empty((hi - lo, n_seg, 2))
         i = 0  # starts[i] is the next segment
         for off, block in _propagate(e, c, seed, lo, hi, n_burn, n_rec):
             _add_occupancy(sums[lo:hi], block)
@@ -327,10 +342,15 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
                 for r, b in _ring_spans(starts[i], starts[i] + n_seg, cap):
                     np.multiply(ring[:, r], win[b, None], out=seg[:, b])
                 # FFT with the e^{+i omega t} kernel: N * ifft
-                xf = np.fft.ifft(seg, axis=1) * n_seg
-                pxx = dt * np.abs(xf)**2 / wnorm
+                np.fft.ifft(seg, axis=1, out=seg)
+                seg *= n_seg
+                np.abs(seg, out=pxx)  # dt |xf|^2 / wnorm, in that order
+                pxx *= pxx
+                pxx *= dt
+                pxx /= wnorm
                 s_sum += pxx.sum(axis=0).T
-                s_sqsum += (pxx**2).sum(axis=0).T
+                pxx *= pxx
+                s_sqsum += pxx.sum(axis=0).T
                 count += hi - lo
                 i += 1
 

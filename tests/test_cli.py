@@ -647,6 +647,27 @@ def test_count_below_two_is_one_rule(argv, count, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum"], "--omega-min"), (["spectrum"], "--omega-max"),
+    (["antistokes"], "--omega-min"), (["antistokes"], "--omega-max"),
+    (["sweep", "--axis", "g2", "--from", "0.1", "--to", "0.6"], "--from"),
+    (["sweep", "--axis", "g2", "--from", "0.1", "--to", "0.6"], "--to")],
+    ids=["spectrum-min", "spectrum-max", "antistokes-min", "antistokes-max",
+         "sweep-from", "sweep-to"])
+def test_non_finite_grid_end_is_rejected_by_its_flag(argv, flag, value,
+                                                     tmp_path, capsys):
+    # rejected before any arithmetic: no numpy warning on the way; the
+    # --flag=value form, since argparse reads a bare -inf as an option
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_rejected(argv + ["--gamma1", "0.01", "--gamma2", "0.01",
+                                "--count", "5", f"{flag}={value}"],
+                        f"error: {flag} must be finite, got {value}\n",
+                        tmp_path / "out.csv", capsys, 1)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     # 10**18 steps: the times alone need 8 EB
     ["three-wave", "--t-end", "1e16", "--dt", "0.01"],

@@ -333,6 +333,92 @@ def test_periodogram_memory_independent_of_record_length():
     assert long < 1.2 * short, (short, long)
 
 
+def _peak(run):
+    run()  # lazy imports and first-call caches are not the run's memory
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_holds_about_one_noise_buffer():
+    # 1200 steps: three chunks; a second whole-chunk copy of the noise, or
+    # a whole-chunk |b|^2 array, would read 2.4 buffers
+    peak = _peak(lambda: simulate_ensemble(OU, n_traj=200, t_end=600.0,
+                                           dt=0.5, burn_in=200.0, seed=1))
+    buffer = 200 * langevin._CHUNK * 48  # (steps, rows, 3) complex
+    assert peak <= 1.5 * buffer, peak / buffer
+
+
+def test_periodogram_holds_ring_segment_and_one_power_array():
+    # the benchmark's 2048-sample segments over one batch of 64: a second
+    # power array, or an FFT output beside the segment, would read 2.3
+    n_traj, n_seg, n_rec = 64, 2048, 2200
+    peak = _peak(lambda: periodogram(OU, n_traj=n_traj,
+                                     t_end=200.0 + n_rec * 0.5, dt=0.5,
+                                     burn_in=200.0, seed=1,
+                                     segment_length=n_seg))
+    ring = min(n_seg + langevin._CHUNK, n_rec)  # samples per trajectory
+    ring_and_segment = n_traj * (ring + n_seg) * 2 * 16  # b1, b2 complex
+    assert peak <= 1.9 * ring_and_segment, peak / ring_and_segment
+
+
+# blocks of 2 or 3 rows and steps with chunks of 7: batches of 7 and 5 rows
+# split 3 + 4 and 2 + 3, so a half ends in a one-row group, and the sums'
+# sub-blocks end inside every chunk and cross every seam
+_SEAMS = dict(n_traj=12, t_end=700.0, dt=0.5, burn_in=200.0, seed=21)
+
+
+def _small_chunks_and_batches(monkeypatch):
+    monkeypatch.setattr(langevin, "_CHUNK", 7)
+    monkeypatch.setattr(langevin, "_TRAJ_BATCH", 7)
+    monkeypatch.setattr(langevin, "_WELCH_BATCH", 7)
+
+
+@pytest.mark.parametrize("block", [2, 3])
+@pytest.mark.parametrize("lo, hi", [(0, 7), (7, 12)])
+def test_grouped_draws_are_the_one_batch_reference(lo, hi, block,
+                                                   monkeypatch):
+    _small_chunks_and_batches(monkeypatch)
+    monkeypatch.setattr(langevin, "_BLOCK", block)
+    e, c = _propagator(COUPLED, 0.5)
+    states = _propagated(e, c, 31, lo, hi, 401, 30)
+    ref = reference_batch(e, c, 31, lo, hi, 401, 30)
+    assert np.array_equal(states.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_sub_block_sums_are_the_whole_block_sums(block, monkeypatch):
+    _small_chunks_and_batches(monkeypatch)
+    default = simulate_ensemble(COUPLED, **_SEAMS)
+    monkeypatch.setattr(langevin, "_BLOCK", block)
+    assert simulate_ensemble(COUPLED, **_SEAMS) == default
+
+
+@pytest.mark.filterwarnings("ignore:burn_in")
+@pytest.mark.parametrize("block", [2, 3])
+def test_in_place_welch_is_the_whole_record_reference(block, monkeypatch):
+    _small_chunks_and_batches(monkeypatch)
+    p = replace(COUPLED, gamma1=0.25, gamma2=0.25)  # record guard: >= 200
+    kw = dict(_SEAMS, burn_in=20.0, segment_length=300)
+    default = periodogram(p, **kw)
+    monkeypatch.setattr(langevin, "_BLOCK", block)
+    w = periodogram(p, **kw)
+    e, c = _propagator(p, 0.5)
+    records = _propagated(e, c, 21, 0, 12, 40, 1360)
+    *curves, _, count = reference_welch(records, 0.5, 300, 0.5, 7)
+    assert w.n_segments == count
+    for name, ref in zip(("omegas", "s1", "s2", "s1_stderr", "s2_stderr"),
+                         curves):
+        assert np.array_equal(getattr(w, name).view(np.uint64),
+                              ref.view(np.uint64)), name
+    # the reference averages |b|^2 its own way: the occupancy is held to
+    # the default-block run's bits
+    assert w.occupancy_time_avg == default.occupancy_time_avg
+
+
 @pytest.mark.filterwarnings("ignore:burn_in")
 def test_ensemble_mean_independent_of_chunk_size(monkeypatch):
     # the states are bitwise the same; the block sums round differently
