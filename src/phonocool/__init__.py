@@ -6,31 +6,21 @@ __version__ = "0.1.0"
 
 from .core import (
     ParameterError,
-    PhononModeSpec,
     SystemParams,
     ThreeWaveParams,
     ThreeWaveState,
-    system_from_modes,
     validate,
     validate_three_wave,
 )
 from .coupling import (
-    BrillouinLinear,
-    BulkOptical,
-    ConfinedFiber,
     GridError,
     ModeField,
     RamanTensor,
     beta_acoustic,
     beta_raman,
-    bimodal_window,
-    box_sine_mode,
     brillouin_raman_tensor,
-    bulk_raman_scalar,
     curl,
-    dispersion,
     divergence,
-    gaussian_transverse,
     load_mode_field,
     normalize_mode,
     plane_wave,

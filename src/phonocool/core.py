@@ -88,38 +88,6 @@ def _require_nonnegative(params, *names: str) -> None:
 
 
 @dataclass(frozen=True)
-class PhononModeSpec:
-    """A single phonon mode: center frequency, half-width, occupancy."""
-
-    center_frequency: float
-    half_width: float
-    occupancy: float
-
-    def __post_init__(self):
-        _require_finite_fields(self)
-        if not self.center_frequency > 0:
-            raise ParameterError("center_frequency must be positive")
-        _require_nonnegative(self, "half_width", "occupancy")
-
-
-def system_from_modes(mode1: PhononModeSpec, mode2: PhononModeSpec,
-                      kappa2: float = 1.0, delta: float = 0.0,
-                      g1: complex = 0j, g2: complex = 0j) -> SystemParams:
-    """Build SystemParams from two phonon mode specs.
-
-    The rotating frame is centered on the mean phonon frequency, so only
-    the half-splitting (Omega_1 - Omega_2)/2 enters the dynamics.
-    """
-    half_split = 0.5 * (mode1.center_frequency - mode2.center_frequency)
-    return SystemParams(
-        kappa2=kappa2, delta=delta, omega=half_split,
-        gamma1=mode1.half_width, gamma2=mode2.half_width,
-        g1=g1, g2=g2,
-        nbar1=mode1.occupancy, nbar2=mode2.occupancy,
-    )
-
-
-@dataclass(frozen=True)
 class ThreeWaveParams:
     """Parameters of the deterministic three-wave amplitude equations.
 

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
 
-from .core import (ParameterError, _open_text, _require_finite,
-                   _require_finite_fields, _write_columns)
+from .core import ParameterError, _open_text, _require_finite, _write_columns
 
 
 class GridError(ValueError):
@@ -196,7 +194,7 @@ def _require_resolved(field_: ModeField) -> None:
 
 
 # ---------------------------------------------------------------------------
-# analytic mode families
+# analytic mode field
 
 
 def plane_wave(axes, wavevector, polarization, amplitude: complex = 1.0,
@@ -209,30 +207,6 @@ def plane_wave(axes, wavevector, polarization, amplitude: complex = 1.0,
     phase = np.exp(1j * (k[0] * x + k[1] * y + k[2] * z))
     values = amplitude * phase[..., None] * pol[None, None, None, :]
     return ModeField(axes, values, periodic=periodic, longitudinal=longitudinal)
-
-
-def box_sine_mode(axes, indices, polarization, amplitude: complex = 1.0) -> ModeField:
-    """Standing-wave box mode: product of sin(n pi (x - x0)/L) factors."""
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    pol = np.asarray(polarization, dtype=complex)
-    profile = np.ones(tuple(a.size for a in axes))
-    grids = np.meshgrid(*axes, indexing="ij")
-    for ax, n, g in zip(axes, indices, grids):
-        length = ax[-1] - ax[0]
-        profile = profile * np.sin(n * np.pi * (g - ax[0]) / length)
-    values = amplitude * profile[..., None] * pol[None, None, None, :]
-    return ModeField(axes, values)
-
-
-def gaussian_transverse(axes, k: float, waist: float, polarization,
-                        amplitude: complex = 1.0) -> ModeField:
-    """Gaussian transverse profile exp(-(x^2+y^2)/w^2) propagating along z."""
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    pol = np.asarray(polarization, dtype=complex)
-    x, y, z = np.meshgrid(*axes, indexing="ij")
-    profile = np.exp(-(x**2 + y**2) / waist**2) * np.exp(1j * k * z)
-    values = amplitude * profile[..., None] * pol[None, None, None, :]
-    return ModeField(axes, values)
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +362,6 @@ def beta_raman(R: RamanTensor, phi2: ModeField, phi1: ModeField,
                                     omega_c2=omega_c2, eps1=eps1, eps2=eps2)
 
 
-def bulk_raman_scalar(R: RamanTensor, e2, e1, eQ) -> complex:
-    """Scalar bulk coupling: contraction of the Raman tensor with the three
-    unit polarization vectors (e2 conjugated)."""
-    vecs = []
-    for name, v in (("e2", e2), ("e1", e1), ("eQ", eQ)):
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (3,):
-            raise ParameterError(f"{name} must be a 3-vector")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise ParameterError(f"{name} must have unit norm")
-        vecs.append(v)
-    return complex(np.einsum("ijk,i,j,k->", R.components,
-                             np.conj(vecs[0]), vecs[1], vecs[2]))
-
-
 def normalize_mode(psi: ModeField, rho0: float, omega_m: float,
                    hbar: float) -> ModeField:
     """Rescale a phonon mode so its kinetic-energy norm equals half a quantum:
@@ -419,83 +378,3 @@ def normalize_mode(psi: ModeField, rho0: float, omega_m: float,
     target = hbar * omega_m / 2.0
     scale = np.sqrt(target / (rho0 * omega_m**2 * norm2))
     return replace(psi, values=psi.values * scale)
-
-
-# ---------------------------------------------------------------------------
-# phonon dispersion catalog
-
-
-@dataclass(frozen=True)
-class BrillouinLinear:
-    """Bulk longitudinal sound: Omega(q) = v_s q."""
-
-    v_s: float
-
-    def __post_init__(self):
-        _require_finite_fields(self)
-        if not self.v_s > 0:
-            raise ParameterError("v_s must be positive")
-
-
-@dataclass(frozen=True)
-class BulkOptical:
-    """Bulk Raman-active optical branch: Omega^2(q) = omega0^2 - alpha q^2."""
-
-    omega0: float
-    alpha: float
-
-    def __post_init__(self):
-        _require_finite_fields(self)
-        if self.omega0 < 0:
-            raise ParameterError("omega0 must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ConfinedFiber:
-    """Transversely confined mode: Omega^2(q) = omega0^2 + alpha q^2."""
-
-    omega0: float
-    alpha: float
-
-    def __post_init__(self):
-        _require_finite_fields(self)
-        if self.omega0 < 0:
-            raise ParameterError("omega0 must be nonnegative")
-        if self.alpha < 0:
-            raise ParameterError("alpha must be nonnegative; a branch whose "
-                                 "Omega^2 falls with q is BulkOptical")
-
-
-DispersionRelation = Union[BrillouinLinear, BulkOptical, ConfinedFiber]
-
-
-def dispersion(rel: DispersionRelation, q) -> float | np.ndarray:
-    """Phonon frequency Omega(q) for the given dispersion relation.
-
-    Accepts scalar or array q >= 0.  BulkOptical raises when the branch
-    frequency would be imaginary.
-    """
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
-        raise ParameterError("q must be nonnegative")
-    if isinstance(rel, BrillouinLinear):
-        out = rel.v_s * q
-    elif isinstance(rel, BulkOptical):
-        om2 = rel.omega0**2 - rel.alpha * q**2
-        if np.any(om2 <= 0):
-            raise ParameterError(
-                "BulkOptical dispersion out of range: Omega^2 must stay positive")
-        out = np.sqrt(om2)
-    elif isinstance(rel, ConfinedFiber):
-        out = np.sqrt(rel.omega0**2 + rel.alpha * q**2)
-    else:
-        raise TypeError(f"unknown dispersion relation {type(rel).__name__}")
-    return out if out.ndim else float(out)
-
-
-def bimodal_window(omega1: float, omega2: float, kappa2: float) -> bool:
-    """True iff two phonon modes fit inside one cavity linewidth:
-    |Omega_1 - Omega_2| < 2 kappa2 (strict)."""
-    if not (omega1 > 0 and omega2 > 0 and kappa2 > 0):
-        raise ParameterError("omega1, omega2, kappa2 must be positive")
-    return abs(omega1 - omega2) < 2 * kappa2

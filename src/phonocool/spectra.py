@@ -100,6 +100,15 @@ def _dropped(p: SystemParams, i: int, mode: int | None) -> bool:
     return gamma == 0.0 and g == 0 and i != mode
 
 
+def _grid(omegas) -> np.ndarray:
+    """omegas as a float array, which must be 1-D with at least one point."""
+    om = np.asarray(omegas, dtype=float)
+    if om.ndim != 1 or om.size == 0:
+        raise ValueError("omegas must be a 1-D array of at least one point, "
+                         f"got shape {om.shape}")
+    return om
+
+
 def _grid_span_warning(p: SystemParams, omegas: np.ndarray) -> None:
     gmax = max(p.gamma1, p.gamma2)
     lo, hi = -abs(p.omega) - 20 * gmax, abs(p.omega) + 20 * gmax
@@ -157,7 +166,7 @@ def phonon_spectrum(params: SystemParams, mode: int, omegas,
     peak equals one.
     """
     gamma, _, nbar, _ = _mode(params, mode)
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = _grid(omegas)
     values = _phonon_density(params, mode, omegas)  # raises on a pole
     _grid_span_warning(params, omegas)
     if normalized:
@@ -170,7 +179,7 @@ def phonon_spectrum(params: SystemParams, mode: int, omegas,
 
 def antistokes_spectrum(params: SystemParams, omegas) -> SpectrumCurve:
     """Closed-form spectrum of the generated anti-Stokes cavity field."""
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = _grid(omegas)
     _, d1, d2, d = _response(params, omegas)
     n = _noise_densities(params)
     num = n[1] * np.abs(params.g1 / d1)**2 + n[2] * np.abs(params.g2 / d2)**2

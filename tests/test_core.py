@@ -8,11 +8,9 @@ import pytest
 import phonocool
 from phonocool import (
     ParameterError,
-    PhononModeSpec,
     SystemParams,
     ThreeWaveParams,
     ThreeWaveState,
-    system_from_modes,
     validate,
     validate_three_wave,
 )
@@ -91,25 +89,6 @@ def test_couplings_coerced_to_complex():
     assert isinstance(p.g1, complex) and isinstance(p.g2, complex)
 
 
-def test_phonon_mode_spec_invariants():
-    PhononModeSpec(center_frequency=1.0, half_width=0.0, occupancy=0.0)
-    with pytest.raises(ParameterError):
-        PhononModeSpec(center_frequency=0.0, half_width=0.01, occupancy=1.0)
-    with pytest.raises(ParameterError):
-        PhononModeSpec(center_frequency=1.0, half_width=-0.01, occupancy=1.0)
-    with pytest.raises(ParameterError):
-        PhononModeSpec(center_frequency=1.0, half_width=0.01, occupancy=-1.0)
-
-
-def test_system_from_modes_splitting():
-    m1 = PhononModeSpec(center_frequency=10.2, half_width=0.01, occupancy=100.0)
-    m2 = PhononModeSpec(center_frequency=10.0, half_width=0.02, occupancy=80.0)
-    p = system_from_modes(m1, m2, kappa2=1.0, g1=0.3, g2=0.5)
-    assert p.omega == pytest.approx(0.1)
-    assert (p.gamma1, p.gamma2) == (0.01, 0.02)
-    assert (p.nbar1, p.nbar2) == (100.0, 80.0)
-
-
 def test_three_wave_params_allow_lossless_case():
     p = ThreeWaveParams(kappa1=0.0, kappa2=0.0, Gamma=0.0, beta=1.0)
     assert validate_three_wave(p) is p
@@ -163,3 +142,12 @@ def test_only_core_calls_the_parameter_rules():
 def test_three_wave_state_requires_finite_components():
     with pytest.raises(ParameterError):
         ThreeWaveState(a1=complex("inf"), a2=0.0, u=0.0)
+
+
+def test_readme_library_example_runs(capsys):
+    # the fenced block under "## Library example", run as a user would
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert round(float(capsys.readouterr().out), 3) == 0.288

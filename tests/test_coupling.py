@@ -6,23 +6,15 @@ import numpy as np
 import pytest
 
 from phonocool import (
-    BrillouinLinear,
-    BulkOptical,
-    ConfinedFiber,
     GridError,
     ModeField,
     ParameterError,
     RamanTensor,
     beta_acoustic,
     beta_raman,
-    bimodal_window,
-    box_sine_mode,
     brillouin_raman_tensor,
-    bulk_raman_scalar,
     curl,
-    dispersion,
     divergence,
-    gaussian_transverse,
     load_mode_field,
     normalize_mode,
     plane_wave,
@@ -605,49 +597,17 @@ def test_raman_tensor_validation():
 
 
 # ---------------------------------------------------------------------------
-# bulk_raman_scalar
-
-
-def test_bulk_scalar_brillouin_value():
-    q = 2 * np.pi
-    R = brillouin_raman_tensor(GAMMA_E, [q, 0, 0])
-    val = bulk_raman_scalar(R, [1, 0, 0], [1, 0, 0], [1, 0, 0])
-    assert 4 * np.pi * val == pytest.approx(1j * GAMMA_E * q, rel=1e-12)
-
-
-def test_bulk_scalar_cross_polarized_vanishes():
-    R = brillouin_raman_tensor(GAMMA_E, [1.0, 0, 0])
-    assert bulk_raman_scalar(R, [0, 1, 0], [1, 0, 0], [1, 0, 0]) == 0
-
-
-def test_bulk_scalar_trilinear_against_loop():
-    rng = np.random.default_rng(2)
-    comps = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
-    R = RamanTensor(comps)
-    vecs = []
-    for _ in range(3):
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        vecs.append(v / np.linalg.norm(v))
-    e2, e1, eq = vecs
-    got = bulk_raman_scalar(R, e2, e1, eq)
-    expect = sum(comps[i, j, k] * np.conj(e2[i]) * e1[j] * eq[k]
-                 for i in range(3) for j in range(3) for k in range(3))
-    assert got == pytest.approx(expect, rel=1e-12)
-
-
-def test_bulk_scalar_rejects_non_unit_vectors():
-    R = RamanTensor(np.zeros((3, 3, 3)))
-    with pytest.raises(ParameterError, match="unit norm"):
-        bulk_raman_scalar(R, [1.1, 0, 0], [1, 0, 0], [1, 0, 0])
-
-
-# ---------------------------------------------------------------------------
 # normalize_mode
 
 
 def test_normalize_mode_idempotent_and_projective():
     axes = open_box(16, length=2.0)
-    psi = box_sine_mode(axes, (1, 1, 1), [1, 0, 0], amplitude=0.7)
+    # the (1, 1, 1) standing wave of the box, a product of sin(pi x / L)
+    # factors, polarized along x
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"))
+    vals = np.zeros((16, 16, 16, 3), complex)
+    vals[..., 0] = 0.7 * np.sin(np.pi * grid / 2.0).prod(axis=0)
+    psi = ModeField(axes, vals)
     rho0, omega_m, hbar = 2.0, 5.0, 1.3
     n1 = normalize_mode(psi, rho0, omega_m, hbar)
     n2 = normalize_mode(n1, rho0, omega_m, hbar)
@@ -674,67 +634,6 @@ def test_normalize_mode_rejects_zero_field():
     psi = ModeField(axes, np.zeros((8, 8, 8, 3), complex))
     with pytest.raises(ParameterError, match="zero-norm"):
         normalize_mode(psi, 1.0, 1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# dispersion catalog and the bimodal window
-
-
-def test_dispersion_brillouin_through_origin():
-    assert dispersion(BrillouinLinear(v_s=343.0), 0.0) == 0.0
-    assert dispersion(BrillouinLinear(v_s=343.0), 2.0) == pytest.approx(686.0)
-
-
-def test_dispersion_confined_fiber_cutoff():
-    rel = ConfinedFiber(omega0=7.0, alpha=2.0)
-    assert dispersion(rel, 0.0) == pytest.approx(7.0)
-
-
-def test_dispersion_bulk_optical_value_and_range():
-    omega0 = 5.0
-    alpha = 1.0
-    q = np.sqrt(0.19) * omega0  # alpha q^2 = 0.19 omega0^2
-    assert dispersion(BulkOptical(omega0, alpha), q) == pytest.approx(0.9 * omega0)
-    with pytest.raises(ParameterError, match="out of range"):
-        dispersion(BulkOptical(omega0, alpha), 2 * omega0)
-
-
-def test_dispersion_rejects_negative_q():
-    with pytest.raises(ParameterError, match="q must be nonnegative"):
-        dispersion(BrillouinLinear(v_s=1.0), -1.0)
-
-
-@pytest.mark.parametrize("make, name", [
-    (lambda x: BrillouinLinear(v_s=x), "v_s"),
-    (lambda x: BulkOptical(omega0=x, alpha=1.0), "omega0"),
-    (lambda x: BulkOptical(omega0=1.0, alpha=x), "alpha"),
-    (lambda x: ConfinedFiber(omega0=x, alpha=1.0), "omega0"),
-    (lambda x: ConfinedFiber(omega0=1.0, alpha=x), "alpha")],
-    ids=["brillouin-v_s", "bulk-omega0", "bulk-alpha", "fiber-omega0",
-         "fiber-alpha"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_dispersion_relations_reject_non_finite_parameters(make, name, value):
-    with pytest.raises(ParameterError, match=f"{name} must be finite"):
-        make(value)
-
-
-def test_confined_fiber_rejects_negative_alpha():
-    # Omega^2 = omega0^2 + alpha q^2 would turn negative at large q
-    with pytest.raises(ParameterError, match="alpha must be nonnegative.*BulkOptical"):
-        ConfinedFiber(omega0=1.0, alpha=-1.0)
-
-
-def test_confined_fiber_without_cutoff_is_valid_at_the_origin():
-    rel = ConfinedFiber(omega0=0.0, alpha=2.0)
-    assert dispersion(rel, 0.0) == 0.0
-    assert dispersion(rel, 3.0) == pytest.approx(3.0 * np.sqrt(2.0))
-
-
-def test_bimodal_window_cases():
-    mhz = 2 * np.pi * 1e6
-    assert bimodal_window(95 * mhz, 96 * mhz, 5 * mhz) is True
-    assert bimodal_window(10.0, 10.0, 1.0) is True
-    assert bimodal_window(10.0, 12.0, 1.0) is False  # |diff| == 2*kappa2
 
 
 # ---------------------------------------------------------------------------
@@ -793,15 +692,6 @@ def test_mode_field_load_rejects_non_rectilinear_coordinates(tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(GridError, match="not a rectilinear grid"):
         load_mode_field(path)
-
-
-def test_gaussian_transverse_profile_shape():
-    axes = (np.linspace(-1, 1, 9), np.linspace(-1, 1, 9), np.linspace(0, 1, 5))
-    f = gaussian_transverse(axes, k=2.0, waist=0.5, polarization=[1, 0, 0])
-    mid = f.values[4, 4, 0, 0]
-    edge = f.values[0, 4, 0, 0]
-    assert abs(mid) > abs(edge)
-    assert abs(mid) == pytest.approx(1.0)
 
 
 def _periodic_wave(pol):

@@ -173,6 +173,21 @@ def test_spectrum_curve_validation():
         SpectrumCurve(np.array([0.0, 1.0]), np.array([1.0, 1.0]), "nope")
 
 
+@pytest.mark.parametrize("grid", [[], np.zeros((2, 2))], ids=["empty", "2d"])
+@pytest.mark.parametrize("spectrum", [
+    lambda p, om: phonon_spectrum(p, 1, om), antistokes_spectrum],
+    ids=["phonon", "antistokes"])
+def test_spectra_reject_a_grid_that_is_not_1d_and_nonempty(spectrum, grid):
+    with pytest.raises(ValueError, match="omegas must be a 1-D array"):
+        spectrum(FIG2, grid)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_spectra_accept_a_one_point_grid():
+    assert phonon_spectrum(FIG2, 1, [0.1]).values.shape == (1,)
+    assert antistokes_spectrum(FIG2, [0.1]).values.shape == (1,)
+
+
 # ---------------------------------------------------------------------------
 # anti-Stokes spectrum
 
