@@ -391,14 +391,14 @@ def build_parser() -> _Parser:
     """A new phonocool parser of every command, the caller's to keep or
     change; `main` does not use the parsers this returns: it builds its own
     once per process."""
-    parser = _Parser(prog="phonocool",
+    parser = _Parser(prog="phonocool", allow_abbrev=False,
                      description="Phonon cooling spectra, dynamics, and "
                                  "Monte Carlo (all rates in kappa2 units)")
     parser.add_argument("--version", action="version",
                         version=f"phonocool {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         for option, kwargs in flags:
             p.add_argument(option, **kwargs)
     return parser

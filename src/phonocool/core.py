@@ -128,12 +128,11 @@ def validate_three_wave(params: ThreeWaveParams) -> ThreeWaveParams:
 
 @dataclass(frozen=True)
 class ThreeWaveState:
-    """Instantaneous complex amplitudes (a1, a2, u) at time t."""
+    """Complex amplitudes (a1, a2, u) at the start of a run, t = 0."""
 
     a1: complex
     a2: complex
     u: complex
-    t: float = 0.0
 
     def __post_init__(self):
         _require_finite_fields(self)

@@ -198,15 +198,16 @@ def _require_resolved(field_: ModeField) -> None:
 
 
 def plane_wave(axes, wavevector, polarization, amplitude: complex = 1.0,
-               periodic=(False, False, False), longitudinal: bool = False) -> ModeField:
-    """Plane wave amplitude * pol * exp(i k . r) sampled on the grid."""
+               periodic=(False, False, False)) -> ModeField:
+    """Plane wave amplitude * pol * exp(i k . r) sampled on the grid; flag
+    it with dataclasses.replace(f, longitudinal=True)."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     k = np.asarray(wavevector, dtype=float)
     pol = np.asarray(polarization, dtype=complex)
     x, y, z = np.meshgrid(*axes, indexing="ij")
     phase = np.exp(1j * (k[0] * x + k[1] * y + k[2] * z))
     values = amplitude * phase[..., None] * pol[None, None, None, :]
-    return ModeField(axes, values, periodic=periodic, longitudinal=longitudinal)
+    return ModeField(axes, values, periodic=periodic)
 
 
 # ---------------------------------------------------------------------------

@@ -164,16 +164,15 @@ def _noise_densities(p: SystemParams) -> np.ndarray:
 class AdiabaticReduction:
     """Reduced (b1, b2) drift after eliminating the fast cavity mode.
 
-    gamma_eff    optically broadened half-widths of the two modes
-    omega_shift  optical frequency pulls (same sign convention for both)
-    cross_coupling  cavity-mediated mode-mode coupling g1* g2/(kappa2 + i delta)
-    guard_ok     whether kappa2 > 10 max(gamma1, gamma2) held
+    matrix    the 2x2 drift: the bare phonon block of drift_matrix minus
+              outer(conj(g), g) / (kappa2 + i delta), so -Re matrix[i, i]
+              is mode i's optically broadened half-width, -Im matrix[i, i]
+              its pulled frequency, and -matrix[0, 1] = g1* g2/(kappa2 + i
+              delta) the cavity-mediated mode-mode coupling
+    guard_ok  whether kappa2 > 10 max(gamma1, gamma2) held
     """
 
     matrix: np.ndarray
-    gamma_eff: tuple[float, float]
-    omega_shift: tuple[float, float]
-    cross_coupling: complex
     guard_ok: bool
 
 
@@ -181,7 +180,8 @@ def adiabatic_reduce(params: SystemParams) -> AdiabaticReduction:
     """Eliminate the cavity adiabatically, returning the 2x2 phonon drift.
 
     Valid for kappa2 >> gamma_i; outside that regime a warning is issued
-    but the algebraic reduction is still returned.
+    but the algebraic reduction is still returned.  Raises OverflowError
+    when the cavity-mediated term leaves the float range.
     """
     guard_ok = params.kappa2 > 10.0 * max(params.gamma1, params.gamma2)
     if not guard_ok:
@@ -189,25 +189,13 @@ def adiabatic_reduce(params: SystemParams) -> AdiabaticReduction:
             "adiabatic elimination assumes kappa2 >> gamma_i; "
             f"kappa2 = {params.kappa2:g} vs max gamma = "
             f"{max(params.gamma1, params.gamma2):g}", stacklevel=2)
-    # the scalar rates first: a |g|^2 beyond the float range raises
-    # OverflowError here, before numpy warns on the matrix
-    lor = params.kappa2**2 + params.delta**2
-    gamma_eff = (params.gamma1 + abs(params.g1)**2 * params.kappa2 / lor,
-                 params.gamma2 + abs(params.g2)**2 * params.kappa2 / lor)
-    omega_shift = (-params.delta * abs(params.g1)**2 / lor,
-                   -params.delta * abs(params.g2)**2 / lor)
-    pole = params.kappa2 + 1j * params.delta
-    bare = np.diag([-1j * params.omega - params.gamma1,
-                    1j * params.omega - params.gamma2]).astype(complex)
     g = np.array([params.g1, params.g2])
-    induced = np.outer(np.conj(g), g) / pole
-    return AdiabaticReduction(
-        matrix=bare - induced,
-        gamma_eff=gamma_eff,
-        omega_shift=omega_shift,
-        cross_coupling=complex(np.conj(params.g1) * params.g2 / pole),
-        guard_ok=guard_ok,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        induced = np.outer(np.conj(g), g) / (params.kappa2 + 1j * params.delta)
+    if not np.isfinite(induced).all():
+        raise OverflowError("cavity-mediated coupling left the float range")
+    return AdiabaticReduction(matrix=drift_matrix(params)[1:, 1:] - induced,
+                              guard_ok=guard_ok)
 
 
 @dataclass(frozen=True)

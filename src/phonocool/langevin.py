@@ -59,10 +59,6 @@ class EnsembleStats:
     seed: int
     scheme: str = "exact_exponential"
 
-    def __post_init__(self):
-        if self.n_traj < 2:
-            raise ValueError("n_traj must be at least 2")
-
 
 def step_covariance(params: SystemParams, dt: float) -> np.ndarray:
     """Exact one-step noise covariance Q = int_0^dt e^{Ms} N e^{M^dag s} ds,

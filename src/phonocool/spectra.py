@@ -101,11 +101,14 @@ def _dropped(p: SystemParams, i: int, mode: int | None) -> bool:
 
 
 def _grid(omegas) -> np.ndarray:
-    """omegas as a float array, which must be 1-D with at least one point."""
+    """omegas as a float array, which must be 1-D with at least one point,
+    each finite."""
     om = np.asarray(omegas, dtype=float)
     if om.ndim != 1 or om.size == 0:
         raise ValueError("omegas must be a 1-D array of at least one point, "
                          f"got shape {om.shape}")
+    if not np.isfinite(om).all():
+        raise ValueError("omegas must be finite")
     return om
 
 

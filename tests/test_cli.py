@@ -911,6 +911,41 @@ def test_config_given_twice_is_rejected(first, second, tmp_path, capsys):
     assert_rejected(argv, "--config", tmp_path / "out.csv", capsys, 1)
 
 
+@pytest.mark.parametrize("argv", [
+    # kappa2 is the unit and has no flag; argparse once read --kappa2-hz
+    ["cooling-ratio", "--kappa2", "2", "--g1", "0.3", "--gamma1", "0.01",
+     "--nbar1", "100"],
+    # --conf once reached --config without the file being expanded
+    ["cooling-ratio", "--conf", "a.cfg"]], ids=["kappa2", "conf"])
+def test_a_flag_prefix_is_not_a_flag(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.cfg").write_text("g1 = 0.3\ngamma1 = 0.01\nnbar1 = 100\n")
+    assert_rejected(argv, "unrecognized arguments", tmp_path / "out.csv",
+                    capsys, 1)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["cooling-ratio", "--config", "a.cfg"], "config line without '='"),
+    (["cooling-ratio", "--output", "out.csv", "--config"],
+     "--config needs a file argument"),
+    (["sweep", *SWEEP_SYSTEM, "--axis", "g2", "--scale", "log", "--from",
+      "0", "--to", "1", "--count", "3"], "log scale needs positive --from/--to"),
+    (["spectrum", "--normalized", "--gamma1", "0.01", "--gamma2", "0.01",
+      "--nbar1", "0", "--count", "5"],
+     "normalized spectrum needs a positive occupancy")],
+    ids=["config-line", "config-last", "log-scale", "normalized"])
+def test_rejected_input_is_one_line_and_no_file(argv, name, tmp_path,
+                                                monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.cfg").write_text("g1 0.3\n")
+    if "--output" not in argv:
+        argv = argv + ["--output", "out.csv"]
+    code, cap = invoke(argv, capsys)
+    assert code == 1
+    assert cap.err.startswith(f"error: {name}") and cap.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["a.cfg"]
+
+
 # ---------------------------------------------------------------------------
 # main builds its parser once per process and reuses it; the reused
 # parser parses, fails and helps as a fresh one does

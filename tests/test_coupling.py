@@ -67,6 +67,17 @@ def test_values_shape_must_match_grid():
         ModeField(axes, np.zeros((8, 8, 7, 3), complex))
 
 
+@pytest.mark.parametrize("axes, values, match", [
+    ((np.arange(3.0),) * 2, np.zeros((3, 3, 3)), "three axes"),
+    ((np.arange(3.0), np.arange(1.0), np.arange(3.0)),
+     np.zeros((3, 1, 3, 3)), "axis 1 must be 1D with at least 2 points"),
+    ((np.arange(3.0),) * 3, np.full((3, 3, 3, 3), np.nan), "finite")],
+    ids=["two-axes", "one-point-axis", "non-finite-value"])
+def test_mode_field_rejects_a_malformed_grid(axes, values, match):
+    with pytest.raises(GridError, match=match):
+        ModeField(axes, values)
+
+
 def test_periodic_axis_needs_uniform_spacing():
     ax = np.array([0.0, 0.1, 0.3, 0.6])
     with pytest.raises(GridError, match="uniform"):
@@ -77,14 +88,14 @@ def test_periodic_axis_needs_uniform_spacing():
 def test_longitudinal_flag_accepts_longitudinal_wave():
     axes = open_box(24)
     q = np.array([0.4, 0.0, 0.0])
-    plane_wave(axes, q, [1, 0, 0], longitudinal=True)
+    replace(plane_wave(axes, q, [1, 0, 0]), longitudinal=True)
 
 
 def test_longitudinal_flag_rejects_transverse_wave():
     axes = open_box(24)
     q = np.array([0.4, 0.0, 0.0])
     with pytest.raises(GridError, match="longitudinal"):
-        plane_wave(axes, q, [0, 1, 0], longitudinal=True)
+        replace(plane_wave(axes, q, [0, 1, 0]), longitudinal=True)
 
 
 @pytest.mark.parametrize("curl_tol", [float("nan"), float("inf"), -1.0])

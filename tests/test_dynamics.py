@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -285,17 +286,17 @@ def test_adiabatic_single_mode_rate_and_shift():
                      gamma2=0.01, g1=0.3, g2=0.0, nbar1=1.0)
     red = adiabatic_reduce(p)
     lor = 1.0**2 + 0.4**2
-    assert red.gamma_eff[0] == pytest.approx(0.01 + 0.09 / lor)
-    assert red.omega_shift[0] == pytest.approx(-0.4 * 0.09 / lor)
-    assert -red.matrix[0, 0].real == pytest.approx(red.gamma_eff[0])
-    assert red.cross_coupling == 0
+    # the broadened width and the pull of mode 1 (resonance +Omega)
+    assert -red.matrix[0, 0].real == pytest.approx(0.01 + 0.09 / lor)
+    assert -red.matrix[0, 0].imag - 0.1 == pytest.approx(-0.4 * 0.09 / lor)
+    assert red.matrix[0, 1] == 0
 
 
 def test_adiabatic_effective_rate_arithmetic():
     p = SystemParams(kappa2=1.0, delta=0.0, omega=0.1, gamma1=0.01,
                      gamma2=0.01, g1=0.3, g2=0.0, nbar1=1.0)
     red = adiabatic_reduce(p)
-    assert red.gamma_eff[0] == pytest.approx(0.1)
+    assert -red.matrix[0, 0].real == pytest.approx(0.1)
 
 
 def test_adiabatic_guard_warns_when_invalid():
@@ -340,7 +341,8 @@ def test_adiabatic_reduction_is_schur_complement_for_complex_couplings():
     m = drift_matrix(p)
     schur = m[1:, 1:] - np.outer(m[1:, 0], m[0, 1:]) / m[0, 0]
     assert np.allclose(red.matrix, schur, rtol=1e-14, atol=1e-16)
-    assert red.cross_coupling == pytest.approx(-red.matrix[0, 1], rel=1e-14)
+    assert -red.matrix[0, 1] == pytest.approx(
+        np.conj(p.g1) * p.g2 / (p.kappa2 + 1j * p.delta), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +404,7 @@ def test_collective_rates_degenerate_reported():
 ], ids=["eigenvalue-tie", "overlap-tie"])
 def test_collective_rates_labels_ties_degenerate(matrix, monkeypatch):
     red = AdiabaticReduction(matrix=np.array(matrix, dtype=complex),
-                             gamma_eff=(0.0, 0.0), omega_shift=(0.0, 0.0),
-                             cross_coupling=0j, guard_ok=True)
+                             guard_ok=True)
     monkeypatch.setattr(dynamics, "adiabatic_reduce", lambda params: red)
     modes = collective_rates(FIG2)
     assert modes.labeling == "degenerate"
@@ -423,6 +424,11 @@ def test_collective_rates_refuse_an_infinite_rate():
     # just inside the range, the rates are returned
     modes = collective_rates(replace(p, g1=1e153, g2=1e153))
     assert np.isfinite(modes.rate_plus)
+    # at |G|^2 beyond the range, the reduction itself refuses, unwarned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="float range"):
+            dynamics.adiabatic_reduce(replace(p, g1=1e200 + 1e200j))
 
 
 @pytest.mark.parametrize("t_end, dt, name", [

@@ -199,6 +199,14 @@ def test_simulate_rejects_partial_steps(t_end, burn_in, name):
         simulate_ensemble(OU, n_traj=2, t_end=t_end, dt=3.0, burn_in=burn_in)
 
 
+@pytest.mark.parametrize("t_end, dt, burn_in", [
+    (400.0, 0.0, 200.0), (200.0, 0.5, 200.0), (100.0, 0.5, 200.0)],
+    ids=["dt-zero", "t_end-at-burn_in", "t_end-before-burn_in"])
+def test_simulate_rejects_an_empty_record(t_end, dt, burn_in):
+    with pytest.raises(ValueError, match="need dt > 0 and t_end > burn_in"):
+        simulate_ensemble(OU, n_traj=2, t_end=t_end, dt=dt, burn_in=burn_in)
+
+
 def test_simulate_accepts_ulp_off_step_ratio():
     # 0.7 / 0.1 = 6.999999999999999 and 0.3 / 0.1 = 2.9999999999999996
     with pytest.warns(UserWarning, match="burn_in"):

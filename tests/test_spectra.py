@@ -171,6 +171,8 @@ def test_spectrum_curve_validation():
         SpectrumCurve(np.array([0.0, 1.0]), np.array([1.0, -1.0]), "phonon1")
     with pytest.raises(ValueError, match="kind"):
         SpectrumCurve(np.array([0.0, 1.0]), np.array([1.0, 1.0]), "nope")
+    with pytest.raises(ValueError, match="matching 1D arrays"):
+        SpectrumCurve(np.array([0.0, 1.0]), np.array([1.0]), "phonon1")
 
 
 @pytest.mark.parametrize("grid", [[], np.zeros((2, 2))], ids=["empty", "2d"])
@@ -180,6 +182,20 @@ def test_spectrum_curve_validation():
 def test_spectra_reject_a_grid_that_is_not_1d_and_nonempty(spectrum, grid):
     with pytest.raises(ValueError, match="omegas must be a 1-D array"):
         spectrum(FIG2, grid)
+
+
+@pytest.mark.parametrize("point", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("spectrum", [
+    lambda p, om: phonon_spectrum(p, 1, om), antistokes_spectrum],
+    ids=["phonon", "antistokes"])
+def test_spectra_reject_a_non_finite_grid_point(spectrum, point,
+                                                monkeypatch):
+    # named before any arithmetic
+    monkeypatch.setattr(spectra, "_response", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omegas must be finite"):
+            spectrum(FIG2, [0.0, point] if point > 0 else [point, 0.0])
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -442,6 +458,19 @@ def test_cooling_ratio_figures():
 def test_cooling_ratio_needs_positive_nbar():
     with pytest.raises(ValueError, match="nbar1"):
         cooling_ratio(replace(FIG2, nbar1=0.0, nbar2=1.0), 1)
+
+
+@pytest.mark.parametrize("quantity", [
+    lambda p, mode: phonon_spectrum(p, mode, [0.0]), occupancy, cooling_ratio],
+    ids=["spectrum", "occupancy", "cooling-ratio"])
+def test_mode_must_be_one_or_two(quantity):
+    with pytest.raises(ValueError, match="mode must be 1 or 2, got 3"):
+        quantity(FIG2, 3)
+
+
+def test_adiabatic_estimate_needs_a_positive_effective_width():
+    with pytest.raises(ValueError, match="effective width must be positive"):
+        cooling_ratio_adiabatic(replace(UNCOUPLED, gamma1=0.0), 1)
 
 
 def test_cooling_ratio_adiabatic_estimate():
