@@ -8,7 +8,9 @@ plus a JSON sidecar <output>.meta.json whose "config" section can be fed
 back through --config to reproduce the run.
 
 One table, COMMANDS, declares each command's handler, help text and flags;
-it drives the parser and every sidecar's "config" block.  `main(argv)` is
+it drives the parser and every sidecar's "config" block.  The system flags
+and the sweep axes are the SystemParams fields but kappa2, the unit, and
+_build_params is the one builder of a system from them.  `main(argv)` is
 the one entry point, from the shell and from Python alike: it returns the
 exit status instead of exiting.
 """
@@ -60,8 +62,7 @@ def _load_config(path: str) -> dict:
         obj = json.loads(text)
         if isinstance(obj.get("config"), dict):
             return obj["config"]
-        return {k: v for k, v in obj.items()
-                if isinstance(v, (str, int, float, bool))}
+        return obj
     cfg = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -161,13 +162,17 @@ def _meta(args, **extra) -> dict:
 def _grid(args, ends: dict[str, float], scale: str = "linear"):
     """--count points between the two ends, {flag: value} from start to
     stop, evenly or geometrically spaced; a non-finite end is rejected by
-    its flag before any arithmetic."""
+    its flag, and a span stop - start beyond the float range by both flags,
+    before any array arithmetic."""
     if args.count < 2:
         raise CliError("--count must be at least 2")
     for flag, value in ends.items():
         if not np.isfinite(value):
             raise CliError(f"{flag} must be finite, got {value!r}")
-    start, stop = ends.values()
+    (start_flag, start), (stop_flag, stop) = ends.items()
+    if not np.isfinite(stop - start):
+        raise CliError(f"the span from {start_flag} to {stop_flag} must be "
+                       f"finite, got {start!r} to {stop!r}")
     if scale == "log":
         if start <= 0 or stop <= 0:
             raise CliError("log scale needs positive --from/--to")

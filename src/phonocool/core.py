@@ -177,7 +177,13 @@ def _write_columns(path, header: str, columns, delimiter: str = ",",
     """Write equal-length 1D columns as delimited text rows, byte for byte
     what np.savetxt(fmt="%.17g") writes for them.  A complex column is
     written as two, its real and imaginary parts; an object column holds
-    text already formatted and is written as is."""
+    text already formatted and is written as is.
+
+    The one writer of every table: CLI CSVs, spectrum curves, three-wave
+    trajectories, Monte Carlo dump files and mode fields.  The text is in
+    the default encoding (a header it cannot encode raises
+    UnicodeEncodeError), formatted _ROWS rows per % call.
+    """
     cols = [part for c in columns
             for part in ((c.real, c.imag) if c.dtype.kind == "c" else (c,))]
     row = delimiter.join("%s" if c.dtype == object else "%.17g"

@@ -36,7 +36,9 @@ class ModeField:
                   the finite-difference tolerance at construction
     curl_tol  that tolerance, relative to the largest partial derivative;
               the check's own discretization error grows like (qh)^2 for
-              a wave of wavevector q on grid spacing h
+              a wave of wavevector q on grid spacing h, so a wave sampled
+              at 10 points per shortest wavelength reads 0.026 and needs a
+              looser tolerance than the default
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -79,11 +81,15 @@ class ModeField:
 
 def _partial(field_: ModeField, i: int, j: int, out: np.ndarray | None = None,
              planes: slice = slice(None)) -> np.ndarray:
-    """d v_i / d x_j, shape (nx, ny, nz), written into `out` if given.
+    """d v_i / d x_j, shape (nx, ny, nz), written into `out` if given: the
+    one finite-difference accessor, which the divergence, the curl and the
+    longitudinal check all read.
 
     `planes` restricts it to a range of x-planes, for j along y or z only:
     the stencil then stays inside those planes, and each element is the
-    one the whole-grid partial holds.
+    one the whole-grid partial holds.  On a periodic axis the wrap-around
+    centred difference is written straight into the output, bitwise
+    np.gradient on a wrap-padded copy without the copy.
     """
     v, x = field_.values[planes, ..., i], field_.axes[j]
     if not field_.periodic[j]:
@@ -92,8 +98,7 @@ def _partial(field_: ModeField, i: int, j: int, out: np.ndarray | None = None,
             return d
         out[...] = d
         return out
-    # centred difference with wrap-around, bitwise np.gradient on the
-    # wrap-padded axis: same subtractions, then the same division by 2h
+    # the same subtractions as np.gradient, then the same division by 2h
     d = np.empty(v.shape, dtype=complex) if out is None else out
     dj, vj = np.moveaxis(d, j, 0), np.moveaxis(v, j, 0)
     np.subtract(vj[2:], vj[:-2], out=dj[1:-1])
@@ -113,8 +118,8 @@ def curl(field_: ModeField) -> np.ndarray:
 
     Component i is d v_k/d x_j - d v_j/d x_k.  The partial along x (for
     component 0, the first) is written whole into the output; the other,
-    along y or z, is taken and subtracted x-slab by x-slab, so the curl
-    needs no full-grid temporary.
+    along y or z, is taken and subtracted in place x-slab by x-slab, with
+    the same a - b per element, so the curl needs no full-grid temporary.
     """
     out = np.empty(field_.shape + (3,), dtype=complex)
     plane = field_.shape[1] * field_.shape[2]
@@ -133,6 +138,18 @@ def curl(field_: ModeField) -> np.ndarray:
 
 
 def _check_longitudinal(field_: ModeField) -> None:
+    """Raise GridError unless max|curl| <= curl_tol times the largest of the
+    nine partials.
+
+    max|curl| is taken slab by slab and the curl freed before the scale
+    loop, so the check peaks at about one field (1.05 of the field's size
+    under tracemalloc at 64^3).  The scale grows as a running maximum over
+    the partials, diagonal ones first, and the field is accepted as soon as
+    the bound holds; since the running maximum never exceeds the full one,
+    every decision and message equals the one-pass rule over all nine, and
+    a longitudinal field is accepted after one partial beyond the curl's
+    six.
+    """
     rows = curl(field_).reshape(-1, 3)
     c = np.max([np.abs(rows[s]).max() for s in _slabs(field_)])  # NaN wins
     del rows
@@ -174,7 +191,9 @@ _SLAB_CELLS = 1 << 14  # per slab of the overlap products: temporaries stay in c
 
 def _slabs(field_: ModeField):
     """Row slices of the values viewed as (cells, 3): whole x-planes, at
-    least one, of about _SLAB_CELLS cells each."""
+    least one, of about _SLAB_CELLS cells each.  Both couplings and the
+    normalization build their integrand slab by slab, so no full-grid copy
+    of a field is made and each peaks below the size of one field."""
     plane = field_.shape[1] * field_.shape[2]
     step = plane * max(1, _SLAB_CELLS // plane)
     return (slice(a, a + step) for a in range(0, plane * field_.shape[0], step))
@@ -289,7 +308,11 @@ def _require_finite_coupling(beta: complex, **constants: float) -> complex:
 
 
 def _optical_prefactor(omega_c1, omega_c2, eps1, eps2) -> float:
-    """sqrt(w_c2 w_c1 / (eps2 eps1)), the optical factor of both couplings."""
+    """sqrt(w_c2 w_c1 / (eps2 eps1)), the optical factor of both couplings,
+    computed in this one place: a non-finite or non-positive constant, and
+    a factor that does not come out finite and positive (eps2 eps1
+    underflowing to zero, a ratio that overflows), raise ParameterError
+    before any grid work."""
     return _require_derived(
         "optical prefactor sqrt(omega_c2 omega_c1 / (eps2 eps1))",
         lambda: np.sqrt(omega_c2 * omega_c1 / (eps2 * eps1)),
@@ -305,7 +328,10 @@ def beta_acoustic(phi2: ModeField, phi1: ModeField, psi: ModeField,
     Evaluates (gamma_e/2) sqrt(w_c2 w_c1 / (eps2 eps1)) times the overlap
     integral of (phi2* . phi1) with the divergence of psi.  The divergence
     uses the centered second-order stencil, so the result converges as h^2
-    on smooth fields.
+    on smooth fields; it is multiplied in place, slab by slab, by
+    conj(phi2) . phi1.  A non-finite gamma_e, and a coupling that leaves
+    the float range, raise ParameterError naming the constants, with no
+    numpy warning.
     """
     _require_finite("gamma_e", gamma_e)
     pref = 0.5 * gamma_e * _optical_prefactor(omega_c1, omega_c2, eps1, eps2)
@@ -350,7 +376,13 @@ def beta_raman(R: RamanTensor, phi2: ModeField, phi1: ModeField,
                psi: ModeField, omega_c1: float, omega_c2: float,
                eps1: float, eps2: float) -> complex:
     """General anti-Stokes coupling via the Raman tensor:
-    2 pi sqrt(w_c2 w_c1/(eps2 eps1)) sum_ijk R_ijk int phi2_i* phi1_j psi_k."""
+    2 pi sqrt(w_c2 w_c1/(eps2 eps1)) sum_ijk R_ijk int phi2_i* phi1_j psi_k.
+
+    The tensor is contracted with the three fields into one scalar
+    integrand, per slab psi . R through one matrix product, then with
+    conj(phi2), then phi1, and integrated with the same trapezoid rule as
+    beta_acoustic.  An overflow raises ParameterError as there.
+    """
     pref = 2 * np.pi * _optical_prefactor(omega_c1, omega_c2, eps1, eps2)
     _require_common_grid(phi2, phi1, psi)
     p2, p1, v = (f.values.reshape(-1, 3) for f in (phi2, phi1, psi))
@@ -366,7 +398,13 @@ def beta_raman(R: RamanTensor, phi2: ModeField, phi1: ModeField,
 def normalize_mode(psi: ModeField, rho0: float, omega_m: float,
                    hbar: float) -> ModeField:
     """Rescale a phonon mode so its kinetic-energy norm equals half a quantum:
-    rho0 omega_m^2 int |psi|^2 d^3r = hbar omega_m / 2."""
+    rho0 omega_m^2 int |psi|^2 d^3r = hbar omega_m / 2.
+
+    rho0, omega_m and hbar must be finite and positive, and so must the
+    scale hbar omega_m / (2 rho0 omega_m^2), checked before any grid work,
+    and the final scale with the field's norm; otherwise ParameterError
+    names the three constants, with no numpy warning.
+    """
     _require_derived("normalization scale hbar omega_m / (2 rho0 omega_m^2)",
                      lambda: hbar * omega_m / 2.0 / (rho0 * omega_m**2),
                      rho0=rho0, omega_m=omega_m, hbar=hbar)
@@ -376,6 +414,9 @@ def normalize_mode(psi: ModeField, rho0: float, omega_m: float,
     norm2 = integrate(psi, integrand).real
     if norm2 <= 0.0:
         raise ParameterError("cannot normalize a zero-norm mode field")
-    target = hbar * omega_m / 2.0
-    scale = np.sqrt(target / (rho0 * omega_m**2 * norm2))
+    scale = _require_derived(
+        "normalization scale sqrt(hbar omega_m / (2 rho0 omega_m^2 "
+        "int |psi|^2))",
+        lambda: np.sqrt(hbar * omega_m / 2.0 / (rho0 * omega_m**2 * norm2)),
+        rho0=rho0, omega_m=omega_m, hbar=hbar)
     return replace(psi, values=psi.values * scale)

@@ -4,6 +4,7 @@ collective (super/sub-radiant) mode analysis."""
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -60,7 +61,11 @@ def evolve_three_wave(params: ThreeWaveParams, init: ThreeWaveState,
     the float range counts as an infinite rate).  The run takes
     round(t_end / dt) steps of dt, so it ends within dt/2 of t_end;
     Trajectory.t records the times actually reached; dt must be finite
-    and positive, t_end finite and nonnegative.
+    and positive, t_end finite and nonnegative.  The run starts at t = 0.
+
+    One step loop with the four stages written out stores the states by
+    blocks of steps; it is bit for bit the step-by-step reference in
+    tests/_three_wave_reference.py.
     """
     if not 0 < dt < np.inf:
         raise IntegrationError(f"dt must be positive and finite, got {dt!r}")
@@ -152,8 +157,16 @@ def drift_matrix(params: SystemParams) -> np.ndarray:
 
 def _noise_densities(p: SystemParams) -> np.ndarray:
     """Channel densities (0, 2 gamma1 nbar1, 2 gamma2 nbar2) of the noise
-    driving (a2, b1, b2), normally ordered: the cavity channel is empty."""
-    return np.array([0.0, 2 * p.gamma1 * p.nbar1, 2 * p.gamma2 * p.nbar2])
+    driving (a2, b1, b2), normally ordered: the cavity channel is empty.
+
+    The one place these densities are formed, for the closed-form spectra,
+    the Lyapunov occupancy and the Monte Carlo alike.  Raises OverflowError
+    when a density leaves the float range, before any of them uses it.
+    """
+    n1, n2 = 2 * p.gamma1 * p.nbar1, 2 * p.gamma2 * p.nbar2
+    if not (math.isfinite(n1) and math.isfinite(n2)):
+        raise OverflowError("noise density 2 gamma_i nbar_i left the float range")
+    return np.array([0.0, n1, n2])
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +193,9 @@ def adiabatic_reduce(params: SystemParams) -> AdiabaticReduction:
     """Eliminate the cavity adiabatically, returning the 2x2 phonon drift.
 
     Valid for kappa2 >> gamma_i; outside that regime a warning is issued
-    but the algebraic reduction is still returned.  Raises OverflowError
-    when the cavity-mediated term leaves the float range.
+    but the algebraic reduction is still returned.  The matrix is the bare
+    phonon block of drift_matrix minus the one cavity term, formed with no
+    numpy warning; raises OverflowError when it leaves the float range.
     """
     guard_ok = params.kappa2 > 10.0 * max(params.gamma1, params.gamma2)
     if not guard_ok:
@@ -191,11 +205,11 @@ def adiabatic_reduce(params: SystemParams) -> AdiabaticReduction:
             f"{max(params.gamma1, params.gamma2):g}", stacklevel=2)
     g = np.array([params.g1, params.g2])
     with np.errstate(over="ignore", invalid="ignore"):
-        induced = np.outer(np.conj(g), g) / (params.kappa2 + 1j * params.delta)
-    if not np.isfinite(induced).all():
-        raise OverflowError("cavity-mediated coupling left the float range")
-    return AdiabaticReduction(matrix=drift_matrix(params)[1:, 1:] - induced,
-                              guard_ok=guard_ok)
+        matrix = (drift_matrix(params)[1:, 1:] - np.outer(np.conj(g), g)
+                  / (params.kappa2 + 1j * params.delta))
+    if not np.isfinite(matrix).all():
+        raise OverflowError("reduced phonon drift left the float range")
+    return AdiabaticReduction(matrix=matrix, guard_ok=guard_ok)
 
 
 @dataclass(frozen=True)
@@ -228,8 +242,10 @@ _TIE_TOL = 1e-9  # relative: below it, couplings vanish and values tie
 
 def collective_rates(params: SystemParams) -> CollectiveModes:
     """Diagonalize the adiabatically reduced drift and identify the
-    super-radiant (+) and sub-radiant (-) collective modes.  Raises
-    OverflowError when a rate or eigenvector leaves the float range."""
+    super-radiant (+) and sub-radiant (-) collective modes.  Couplings
+    vanish, and eigenvalues or overlaps tie, below one fixed relative
+    tolerance of 1e-9 (no tolerance argument).  Raises OverflowError when a
+    rate or eigenvector leaves the float range."""
     m = adiabatic_reduce(params).matrix
     scale = max(np.abs(m).max(), 1e-300)
     ip, im_ = 0, 1

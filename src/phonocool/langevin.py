@@ -147,7 +147,18 @@ def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
     """Propagate trajectories lo..hi-1 from the vacuum with x -> e x + c w
     and yield their recorded states in time order as (offset, block)
     pairs: block[:, j] is the state at record index offset + j.  The block
-    is a view of a buffer that the next step of the generator overwrites."""
+    is a view of a buffer that the next step of the generator overwrites.
+
+    This one loop feeds the occupancy sums, the dump files and the Welch
+    spectra.  Each chunk's noise is drawn by two worker threads, one half
+    of the trajectories each, _BLOCK rows at a time through a small scratch
+    into one time-major buffer, and shaped in place by the same two, one
+    half of the steps each, _BLOCK steps per matrix product.  The pool
+    lives for one call, so importing the package starts no thread and a
+    forked child can simulate; there is no thread-count setting.  The
+    states are the same bit for bit however trajectories are batched,
+    steps are chunked or the workers are scheduled.
+    """
     et, ct = e.T.copy(), c.T.copy()
     gens = [_substream(seed, i) for i in range(lo, hi)]
     # a lone row would go through BLAS gemv, which rounds differently from
@@ -194,7 +205,8 @@ def _propagate(e: np.ndarray, c: np.ndarray, seed: int, lo: int, hi: int,
 
 def _add_occupancy(sums: np.ndarray, block: np.ndarray) -> None:
     """Add each trajectory's sums of |b1|^2 and |b2|^2 over a recorded block
-    of _propagate to its row of sums."""
+    of _propagate to its row of sums, _BLOCK steps at a time, carrying the
+    partial sum so the order of additions is that of one whole-block sum."""
     part = 0.0  # the sum runs on in step order, as over one whole block
     for s in range(0, block.shape[1], _BLOCK):
         a = np.abs(block[:, s:s + _BLOCK, 1:])
@@ -213,7 +225,12 @@ def simulate_ensemble(params: SystemParams, n_traj: int, t_end: float,
     one-step map, and contributes the time average of |b_i|^2 over
     (burn_in, t_end]; t_end and burn_in must be whole numbers of steps dt.
     With dump_dir set, the recorded window of every trajectory is written
-    as CSV (one file per trajectory; large).
+    as CSV (one file per trajectory; large).  n_traj must be at least 2,
+    and dt, t_end and burn_in finite.  The dump files are the same bit for
+    bit however the run is batched or chunked; the mean and standard error,
+    summed block by block, agree across chunk sizes to rounding.  A mean or
+    standard error beyond the float range raises OverflowError with no
+    numpy warning.
     """
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
@@ -288,9 +305,18 @@ def periodogram(params: SystemParams, n_traj: int, t_end: float, dt: float,
 
     segment_length is in samples (default: the whole post-burn-in record,
     one segment per trajectory); segments are Hann-windowed and overlap by
-    half.  The spectra are on the native FFT bins, in increasing order.
-    t_end and burn_in must be whole numbers of steps dt, segment_length a
-    whole number; n_traj must be at least 1.
+    half.  The spectra are on the native FFT bins, in increasing order,
+    about +-pi/dt wide; np.interp takes them onto another grid.  They are
+    the same bit for bit however steps are chunked.
+
+    t_end and burn_in must be finite whole numbers of steps dt, the record
+    t_end - burn_in at least 50 over the smallest phonon half-width, and
+    segment_length a whole number in [8, record length]; n_traj must be at
+    least 1.  Each is checked before any propagation or burn-in warning.
+    Each segment is transformed as soon as its last sample is propagated,
+    and a batch keeps only its ring of samples a pending segment still
+    needs, one segment and one power array, so its memory is
+    O(batch x segment length) whatever the record length.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

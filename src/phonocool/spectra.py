@@ -141,18 +141,24 @@ def _phonon_density(p: SystemParams, mode: int, omega) -> np.ndarray:
 
 def _over_squares(num, *factors):
     """num / (|f1|^2 |f2|^2 ...): the plain quotient where that denominator
-    is finite, and (sqrt(num) / |f1| / |f2| ...)^2 only where it overflowed,
-    so a density within the float range never comes out as 0 through an
-    infinite denominator."""
+    is finite and nonzero, and (sqrt(num) / |f1| / |f2| ...)^2 only where it
+    overflowed or underflowed to 0, so a density within the float range
+    never comes out as 0 through an infinite denominator, nor as infinite
+    through a zero one.  Every other point is the plain quotient, bit for
+    bit.  Raises OverflowError, with no numpy warning, where the quotient
+    itself leaves the float range."""
     with np.errstate(over="ignore"):
         den = math.prod(np.abs(f)**2 for f in factors)
-    out = np.asarray(num / den)
-    big = np.isinf(den)
-    if big.any():
-        scaled = np.sqrt(num[big])
-        for f in factors:
-            scaled /= np.abs(f[big])
-        out[big] = scaled**2
+    odd = np.isinf(den) | (den == 0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.asarray(num / den)
+        if odd.any():
+            scaled = np.sqrt(num[odd])
+            for f in factors:
+                scaled /= np.abs(np.asarray(f)[odd])
+            out[odd] = scaled**2
+    if not np.isfinite(out).all():
+        raise OverflowError("spectral density left the float range")
     return out[()]  # a scalar for a scalar omega
 
 
@@ -166,7 +172,10 @@ def phonon_spectrum(params: SystemParams, mode: int, omegas,
     """Closed-form fluctuation spectrum of phonon mode 1 or 2.
 
     With normalized=True returns gamma_i S / (2 nbar_i), whose uncoupled
-    peak equals one.
+    peak equals one.  omegas must be a 1-D array of at least one finite
+    point.  A pole raises SingularityError and a density or cavity response
+    beyond the float range OverflowError, all before the warning that the
+    grid does not span 20 half-widths around both resonances.
     """
     gamma, _, nbar, _ = _mode(params, mode)
     omegas = _grid(omegas)
@@ -198,9 +207,11 @@ def _stationary_block(params: SystemParams, mode: int):
     Bartels-Stewart as scipy's solve_continuous_lyapunov runs it, on one
     complex Schur form M = U R U^dag (LAPACK zgees) whose eigenvalues also
     serve the Hurwitz check: ztrsyl solves R Y + Y R^dag = scale F with
-    F = U^dag Q U and Q = -N, and P = U (Y / scale) U^dag.  A value beyond
-    the float range in ||M|| or P raises OverflowError; one in N leaves P
-    non-finite, so it raises too.
+    F = U^dag Q U and Q = -N, and P = U (Y / scale) U^dag.  P is bit for
+    bit scipy's where ztrsyl's scale is 1; where LAPACK scales Y down to
+    avoid overflow (nbar above ~1e291), scipy's product by scale would be
+    wrong, so the scale is divided out.  A value beyond the float range in
+    ||M||, N or P raises OverflowError.
     """
     keep = [0] + [i for i in (1, 2) if not _dropped(params, i, mode)]
     if any(_mode(params, i)[0] == 0.0 for i in keep[1:]):

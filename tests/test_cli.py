@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -505,6 +506,35 @@ def test_density_below_the_float_range_is_zero_without_a_warning(tmp_path,
     assert (values == 0).all()
 
 
+def test_density_over_an_underflowing_denominator(tmp_path, capsys):
+    # gamma1 = 1e-300: |d|^2 |d1|^2 underflows to 0 at omega = 0, where the
+    # density, about 2e-290 / 1e-600, is beyond the float range; one line,
+    # no warning, no file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = invoke(["spectrum", "--gamma1", "1e-300", "--gamma2", "0.01",
+                       "--count", "5", "--nbar1", "1e10",
+                       "--output", str(tmp_path / "y.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: spectrum: a value left the float range\n")
+    assert list(tmp_path.iterdir()) == []
+    # a density that the same zero denominator leaves in range is computed
+    # as (sqrt(num) / |d| / |d1|)^2 there
+    p = SystemParams(kappa2=1.0, gamma1=1e-300, gamma2=0.01, nbar1=1e-5)
+    om = np.linspace(-1.5, 1.5, 5)
+    num, d, rest = density_parts("spectrum", p, om)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = phonon_spectrum(p, 1, om).values
+    assert rest[2] == 0
+    # uncoupled: the density is n1 / |d1|^2 = 2e-305 / 1e-600
+    assert values[2] == pytest.approx(2e-305 * 1e300 * 1e300, rel=1e-12)
+    keep = np.arange(5) != 2
+    assert np.array_equal(values[keep], num[keep] / (np.abs(d[keep])**2
+                                                     * rest[keep]))
+
+
 def test_density_with_an_overflowing_numerator_cancels_the_dressed_cavity(
         tmp_path, capsys):
     # mode 2 with a huge G1: |da + |G1|^2/d1|^2 overflows in the numerator
@@ -585,6 +615,38 @@ def test_simulate_overflow_is_a_numerical_failure(output, tmp_path, capsys):
     assert capsys.readouterr() == (
         "seed=0\n", "numerical failure: simulate: a value left the float range\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--count", "5"], ["antistokes", "--count", "5"],
+    ["cooling-ratio"],
+    ["simulate", "--n-traj", "2", "--t-end", "20", "--dt", "0.5",
+     "--burn-in", "10"]], ids=lambda argv: argv[0])
+def test_overflowing_noise_density_is_a_numerical_failure(command, tmp_path,
+                                                          capsys):
+    # 2 gamma1 nbar1 = 2e308 is refused where it is made: one line, no
+    # warning on the way, no file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = invoke(command + ["--gamma1", "1", "--gamma2", "1", "--nbar1",
+                                 "1e308", "--output", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure: {command[0]}: a value left the float range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_reduced_drift_warns_only_of_the_adiabatic_regime(
+        capsys):
+    # the bare width 1e308 and the cavity term 1e308 sum beyond the range
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert invoke(["collective", "--gamma1", "1e308", "--g1", "1e154",
+                       "--gamma2", "0.01"]) == 2
+    assert [w.category for w in caught] == [UserWarning]
+    assert "adiabatic elimination" in str(caught[0].message)
+    assert capsys.readouterr() == (
+        "", "numerical failure: collective: a value left the float range\n")
 
 
 def test_three_wave_overflowing_amplitude_violates_the_guard(tmp_path,
@@ -725,6 +787,26 @@ def test_three_wave_rejects_bad_times(times, tmp_path, capsys):
                     name, tmp_path / "tw.csv", capsys, 2)
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["spectrum"], ("--omega-min", "--omega-max")),
+    (["antistokes"], ("--omega-min", "--omega-max")),
+    (["sweep", "--axis", "g2"], ("--from", "--to"))],
+    ids=["spectrum", "antistokes", "sweep"])
+def test_grid_span_beyond_the_float_range_is_rejected_by_both_flags(
+        argv, flags, tmp_path, capsys):
+    # two finite ends whose difference overflows: rejected before linspace,
+    # with no numpy warning
+    start, stop = flags
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_rejected(argv + ["--gamma1", "0.01", "--gamma2", "0.01",
+                                "--count", "5", f"{start}=-1.7e308",
+                                f"{stop}=1.7e308"],
+                        f"error: the span from {start} to {stop} must be "
+                        "finite, got -1.7e+308 to 1.7e+308\n",
+                        tmp_path / "out.csv", capsys, 1)
+
+
 @pytest.mark.parametrize("flag", [
     "--omega-c1=-3", "--omega-c2=0", "--eps1=0", "--eps2=nan",
     "--rho0=0", "--rho0=-1", "--omega-m=0", "--hbar=-1", "--hbar=inf"])
@@ -761,6 +843,25 @@ def test_coupling_rejects_constants_that_do_not_combine(flags, tmp_path, capsys)
                         plane_wave((ax, ax, ax), [k * np.pi, 0, 0], pol))
         argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
     assert_rejected(argv + flags, flag_name(flags[0]), tmp_path / "beta.csv",
+                    capsys, 1)
+
+
+def test_coupling_rejects_a_normalization_that_underflows(tmp_path, capsys):
+    # each constant and hbar omega_m / (2 rho0 omega_m^2) pass; with the
+    # norm of a 1e-5 field, rho0 omega_m^2 int |psi|^2 underflows to 0
+    ax = np.arange(8) / 8
+    argv = ["coupling", "--gamma-e", "1", "--omega-c1", "1", "--omega-c2",
+            "1", "--periodic-x", "--periodic-y", "--periodic-z",
+            "--normalize", "--rho0", "1e-15", "--omega-m", "1e-150",
+            "--hbar", "1e-150"]
+    for name, k, pol, amp in (("phi1", 2, [0, 1, 0], 1.0),
+                              ("phi2", 4, [0, 1, 0], 1.0),
+                              ("psi", 2, [1, 0, 0], 1e-5)):
+        save_mode_field(tmp_path / f"{name}.txt",
+                        plane_wave((ax, ax, ax), [k * np.pi, 0, 0], pol, amp))
+        argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
+    assert_rejected(argv, "not finite and positive for rho0=1e-15, "
+                    "omega_m=1e-150, hbar=1e-150", tmp_path / "beta.csv",
                     capsys, 1)
 
 
@@ -895,6 +996,17 @@ def test_config_switch_values(text, normalized, tmp_path):
     config = json.loads((tmp_path / "s.csv.meta.json").read_text())["config"]
     assert config["normalized"] is normalized
     assert "nbar2" not in config  # null leaves the flag unset
+
+
+@pytest.mark.parametrize("value", ["[0.3, 0.1]", '{"re": 0.3}'],
+                         ids=["list", "object"])
+def test_flat_json_config_passes_every_value_to_the_parser(value, tmp_path,
+                                                          capsys):
+    # a value no flag can take fails loudly instead of being dropped
+    cfg = tmp_path / "run.json"
+    cfg.write_text(f'{{"g1": {value}, "gamma1": 0.01, "nbar1": 100}}')
+    assert_rejected(["cooling-ratio", "--config", str(cfg)], "--g1",
+                    tmp_path / "r.csv", capsys, 1)
 
 
 @pytest.mark.parametrize("second", ["--config", "--config="])
@@ -1249,3 +1361,26 @@ def test_the_parser_is_the_only_resolver():
             if isinstance(name, str) and name.endswith("Namespace"):
                 names.append((path.name, node.lineno))
     assert names == []
+
+
+def readme_commands():
+    """The `phonocool ...` commands of the README's "Command line" block, as
+    argument lists, continuation lines joined and comments dropped."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("phonocool ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda a: a[0])
+def test_readme_command_runs(argv, tmp_path, monkeypatch):
+    # run as a user would, beside plane-wave fields for `coupling`
+    monkeypatch.chdir(tmp_path)
+    ax = np.arange(8) / 8
+    for name, k, pol in (("phi1", 4, [0, 1, 0]), ("phi2", 6, [0, 1, 0]),
+                         ("psi", 2, [1, 0, 0])):
+        save_mode_field(f"{name}.txt",
+                        plane_wave((ax, ax, ax), [2 * np.pi * k, 0, 0], pol))
+    assert invoke(argv) == 0
