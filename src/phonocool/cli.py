@@ -51,6 +51,9 @@ def _complex(text: str) -> complex:
         raise CliError(f"cannot parse complex value {text!r}") from exc
 
 
+_complex.__name__ = "complex"  # argparse names it: "invalid complex value"
+
+
 # ---------------------------------------------------------------------------
 # config handling
 

@@ -15,6 +15,9 @@ import json
 import lzma
 import math
 import os
+import shutil
+import tempfile
+import threading
 from dataclasses import dataclass, fields
 
 
@@ -159,10 +162,12 @@ def _write_json(file, obj) -> None:
 # compressed by suffix, as numpy's text readers and writers do
 _OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open,
             ".lzma": lzma.open}
-# rows per formatting call: a chunk's text stays well under the 8 KiB that
-# io.TextIOWrapper batches; longer chunks made a large buffer per write and
-# raised peak RSS (1024 rows: +3.5 MB around a 10^5-row trajectory write)
+# rows per % call, serial or in a forked child (bytes independent of the
+# CPU count); 1024 rows outgrew io.TextIOWrapper's 8 KiB batch: +3.5 MB RSS
 _ROWS = 16
+_FORK_CELLS = 1 << 16  # the fewest cells that a forked row range holds
+# a child's text on its way back: any str survives, and fh encodes it
+_CHILD_TEXT = dict(encoding="utf-8", errors="surrogatepass", newline="")
 
 
 def _open_text(path, mode: str):
@@ -182,16 +187,56 @@ def _write_columns(path, header: str, columns, delimiter: str = ",",
     The one writer of every table: CLI CSVs, spectrum curves, three-wave
     trajectories, Monte Carlo dump files and mode fields.  The text is in
     the default encoding (a header it cannot encode raises
-    UnicodeEncodeError), formatted _ROWS rows per % call.
+    UnicodeEncodeError), formatted _ROWS rows per % call in k = min(CPUs,
+    cells // _FORK_CELLS) row ranges, CPUs from os.sched_getaffinity:
+    forked children format all but the first into temporary files, which
+    are appended in order; a failed child raises OSError, and every child
+    is reaped.  Serial at k < 2, without os.fork, or while another Python
+    thread is alive; the bytes never depend on k.
     """
     cols = [part for c in columns
             for part in ((c.real, c.imag) if c.dtype.kind == "c" else (c,))]
     row = delimiter.join("%s" if c.dtype == object else "%.17g"
                          for c in cols) + "\n"
+    n = len(cols[0])
+    k = min(n * len(cols) // _FORK_CELLS, len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        k = 1
+    bounds, tmps, pids = [n * i // k for i in range(k + 1)], [], []
     with _open_text(path, "wt") as fh:
         if header:
             fh.write(comments + header.replace("\n", "\n" + comments) + "\n")
-        for lo in range(0, len(cols[0]), _ROWS):
-            chunk = [c[lo:lo + _ROWS].tolist() for c in cols]
-            fh.write(row * len(chunk[0])
-                     % tuple(itertools.chain.from_iterable(zip(*chunk))))
+        try:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                tmps.append(tempfile.TemporaryFile("w+", **_CHILD_TEXT))
+                pid = os.fork()
+                if pid == 0:  # the child leaves only through os._exit
+                    try:
+                        _write_rows(tmps[-1], row, [c[lo:hi] for c in cols])
+                        tmps[-1].flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                pids.append(pid)
+            _write_rows(fh, row, [c[:bounds[1]] for c in cols])
+            for tmp in tmps:
+                status = os.waitpid(pids[0], 0)[1]
+                del pids[0]
+                if status:
+                    raise OSError(f"a table-writing child failed ({status})")
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh)
+        finally:
+            for pid in pids:
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+            for tmp in tmps:
+                tmp.close()
+
+
+def _write_rows(out, row: str, cols) -> None:
+    for lo in range(0, len(cols[0]), _ROWS):
+        chunk = [c[lo:lo + _ROWS].tolist() for c in cols]
+        out.write(row * len(chunk[0])
+                  % tuple(itertools.chain.from_iterable(zip(*chunk))))

@@ -194,7 +194,9 @@ def antistokes_spectrum(params: SystemParams, omegas) -> SpectrumCurve:
     omegas = _grid(omegas)
     _, d1, d2, d = _response(params, omegas)
     n = _noise_densities(params)
-    num = n[1] * np.abs(params.g1 / d1)**2 + n[2] * np.abs(params.g2 / d2)**2
+    with np.errstate(over="ignore"):  # _over_squares refuses an inf
+        num = (n[1] * np.abs(params.g1 / d1)**2
+               + n[2] * np.abs(params.g2 / d2)**2)
     return SpectrumCurve(omegas=omegas, values=_over_squares(num, d),
                          kind="antistokes")
 

@@ -998,6 +998,28 @@ def test_config_switch_values(text, normalized, tmp_path):
     assert "nbar2" not in config  # null leaves the flag unset
 
 
+def test_antistokes_numerator_overflow_is_one_line(tmp_path, capsys):
+    # |g1/d1|^2 leaves the float range while d stays finite: the refusal
+    # comes from the quotient, with no numpy warning before it
+    out = tmp_path / "a.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = invoke(["antistokes", "--g1", "1e140", "--gamma1", "1e-20",
+                       "--gamma2", "0.01", "--nbar1", "1", "--count", "5",
+                       "--omega-min=-1", "--omega-max", "1",
+                       "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "numerical failure: antistokes: a value left the float range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_complex_flag_error_names_the_type(capsys):
+    assert invoke(["cooling-ratio", "--g1", "[0.3, 0.1]"]) == 1
+    assert capsys.readouterr().err == (
+        "error: argument --g1: invalid complex value: '[0.3, 0.1]'\n")
+
+
 @pytest.mark.parametrize("value", ["[0.3, 0.1]", '{"re": 0.3}'],
                          ids=["list", "object"])
 def test_flat_json_config_passes_every_value_to_the_parser(value, tmp_path,

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -236,3 +237,201 @@ def test_no_second_writer_in_the_package():
                     in ("savetxt", "column_stack")):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the forked writer: the same bytes whatever the CPU count
+
+F = core._FORK_CELLS
+_FORK = os.fork
+
+
+def use_cpus(monkeypatch, cpus):
+    """Give the writer `cpus` CPUs; returns the list that each fork appends
+    to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+
+    def counted():
+        forks.append(cpus)
+        return _FORK()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def refuse_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def written(tmp_path, monkeypatch, cpus, name, write):
+    """(bytes, forks): what write(path) leaves at <cpus>/name, with `cpus`
+    CPUs, and how many children it forked; none is left."""
+    forks = use_cpus(monkeypatch, cpus)
+    path = tmp_path / str(cpus) / name
+    path.parent.mkdir()
+    write(path)
+    assert_no_child()
+    return path.read_bytes(), len(forks)
+
+
+def serial_and_forked(tmp_path, monkeypatch, cpus, name, write):
+    serial, forks = written(tmp_path, monkeypatch, 1, name, write)
+    assert forks == 0
+    forked, forks = written(tmp_path, monkeypatch, cpus, name, write)
+    return serial, forked, forks
+
+
+@pytest.mark.parametrize("cells", [F - 1, F, F + 1, 2 * F - 1, 2 * F,
+                                   2 * F + 1])
+def test_forked_bytes_around_the_threshold(tmp_path, monkeypatch, cells):
+    # each range holds at least F cells, so the first fork is at 2F
+    column = np.random.default_rng(cells).standard_normal(cells)
+    serial, forked, forks = serial_and_forked(
+        tmp_path, monkeypatch, 2, "out.csv",
+        lambda p: core._write_columns(p, "h", [column]))
+    assert forked == serial
+    assert forks == (cells >= 2 * F)
+
+
+@pytest.mark.parametrize("rows, cpus, forks", [(3 * F // 2 + 7, 3, 2),
+                                               (3 * F // 2 + 7, 8, 2),
+                                               (0, 8, 0)],
+                         ids=["uneven-3-cpus", "more-cpus-than-ranges",
+                              "no-rows"])
+def test_forked_row_ranges(tmp_path, monkeypatch, rows, cpus, forks):
+    rng = np.random.default_rng(rows)
+    columns = [rng.standard_normal(rows), np.arange(rows) * 0.5]
+    serial, forked, got = serial_and_forked(
+        tmp_path, monkeypatch, cpus, "out.csv",
+        lambda p: core._write_columns(p, "two\nlines", columns))
+    assert forked == serial == savetxt_bytes(tmp_path, columns, "two\nlines")
+    assert got == forks
+
+
+def test_forked_complex_column(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    t = np.arange(F) * 0.01
+    z = rng.standard_normal(F) + 1j * rng.standard_normal(F)
+    z.real[:SPECIAL.size], z.imag[:SPECIAL.size] = SPECIAL, SPECIAL[::-1]
+    serial, forked, forks = serial_and_forked(
+        tmp_path, monkeypatch, 2, "out.csv",
+        lambda p: core._write_columns(p, "t, Re, Im", [t, z]))
+    assert forked == serial
+    assert forks == 1
+
+
+def _field(n):
+    rng = np.random.default_rng(n)
+    axes = tuple(np.cumsum(rng.uniform(0.01, 1.0, n)) for _ in range(3))
+    return ModeField(axes, rng.standard_normal((n, n, n, 3))
+                     + 1j * rng.standard_normal((n, n, n, 3)))
+
+
+def test_forked_mode_field(tmp_path, monkeypatch):
+    # 32^3 rows x 9 columns: four ranges' worth, split over 3 CPUs
+    f = _field(32)
+    serial, forked, forks = serial_and_forked(
+        tmp_path, monkeypatch, 3, "f.txt",
+        lambda p: save_mode_field(p, f))
+    assert forked == serial
+    assert forks == 2
+
+
+def test_forked_compressed_mode_field(tmp_path, monkeypatch):
+    # gzip stores the time of writing in bytes 4-7 of its header
+    f = _field(26)
+    serial, forked, forks = serial_and_forked(
+        tmp_path, monkeypatch, 2, "f.txt.gz",
+        lambda p: save_mode_field(p, f))
+    assert forked[:4] + forked[8:] == serial[:4] + serial[8:]
+    assert forks == 1
+
+
+def test_forked_non_ascii_text(tmp_path, monkeypatch):
+    # a header and preformatted text outside ASCII: the same bytes, or the
+    # same UnicodeEncodeError where the locale cannot encode them
+    text = np.array(["−0.5", "ω"] * F, dtype=object)
+    y = np.arange(2 * F) * 0.25
+
+    def write(path):
+        try:
+            core._write_columns(path, "ω [rad/s], S(ω)", [text, y])
+        except UnicodeEncodeError:
+            path.write_bytes(b"UnicodeEncodeError")
+    serial, forked, forks = serial_and_forked(tmp_path, monkeypatch, 2,
+                                              "out.csv", write)
+    assert forked == serial
+    assert forks == 1
+
+
+class _Unprintable:
+    def __str__(self):
+        raise ValueError("no text for this row")
+
+
+def test_a_failed_child_raises(tmp_path, monkeypatch):
+    # the last row is in the child's range
+    text = np.array(["1"] * F, dtype=object)
+    text[-1] = _Unprintable()
+    forks = use_cpus(monkeypatch, 2)
+    with pytest.raises(OSError, match="child failed"):
+        core._write_columns(tmp_path / "out.csv", "h", [text, text])
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def test_a_failure_in_the_parent_kills_the_child(tmp_path, monkeypatch):
+    # the first row is in the parent's range; the running child is killed
+    text = np.array(["1"] * (8 * F), dtype=object)
+    text[0] = _Unprintable()
+    forks = use_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="no text"):
+        core._write_columns(tmp_path / "out.csv", "h", [text, text])
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def test_cpu_count_without_an_affinity_mask(tmp_path, monkeypatch):
+    column = np.arange(2 * F) * 1.5
+    forks = use_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    core._write_columns(tmp_path / "out.csv", "", [column])
+    assert len(forks) == 1
+    assert_no_child()
+    assert ((tmp_path / "out.csv").read_bytes()
+            == savetxt_bytes(tmp_path, [column], ""))
+
+
+def test_no_fork_while_another_thread_is_alive(tmp_path, monkeypatch):
+    column = np.arange(4 * F) * 0.5
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    refuse_fork(monkeypatch)
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        core._write_columns(tmp_path / "out.csv", "h", [column])
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert ((tmp_path / "out.csv").read_bytes()
+            == savetxt_bytes(tmp_path, [column], "h"))
+
+
+def test_no_fork_for_a_spectrum(tmp_path, monkeypatch):
+    # 4001 x 2 cells, far under the threshold
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    refuse_fork(monkeypatch)
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--gamma1", "0.01", "--gamma2", "0.01",
+                 "--nbar1", "1", "--output", str(out)]) == 0
+    assert len(np.loadtxt(out, delimiter=",")) == 4001
