@@ -1,5 +1,5 @@
 """Domain types, parameter validation, unit conventions, and the columnar
-text format that every written table uses.
+text format that every table is written in and every mode field read from.
 
 All rates and frequencies are angular (rad/s).  By convention the cavity
 half-linewidth kappa2 is the natural unit: the CLI fixes kappa2 = 1 and
@@ -9,7 +9,9 @@ consistent unit system.
 from __future__ import annotations
 
 import bz2
+import contextlib
 import gzip
+import io
 import itertools
 import json
 import lzma
@@ -18,7 +20,10 @@ import os
 import shutil
 import tempfile
 import threading
+import warnings
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -187,52 +192,27 @@ def _write_columns(path, header: str, columns, delimiter: str = ",",
     The one writer of every table: CLI CSVs, spectrum curves, three-wave
     trajectories, Monte Carlo dump files and mode fields.  The text is in
     the default encoding (a header it cannot encode raises
-    UnicodeEncodeError), formatted _ROWS rows per % call in k = min(CPUs,
-    cells // _FORK_CELLS) row ranges, CPUs from os.sched_getaffinity:
-    forked children format all but the first into temporary files, which
-    are appended in order; a failed child raises OSError, and every child
-    is reaped.  Serial at k < 2, without os.fork, or while another Python
-    thread is alive; the bytes never depend on k.
+    UnicodeEncodeError), formatted _ROWS rows per % call in
+    _fork_count(cells) row ranges: forked children format all but the
+    first into temporary files, which are appended in order; a failed child
+    raises OSError.  The bytes never depend on the number of ranges.
     """
     cols = [part for c in columns
             for part in ((c.real, c.imag) if c.dtype.kind == "c" else (c,))]
     row = delimiter.join("%s" if c.dtype == object else "%.17g"
                          for c in cols) + "\n"
     n = len(cols[0])
-    k = min(n * len(cols) // _FORK_CELLS, len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        k = 1
-    bounds, tmps, pids = [n * i // k for i in range(k + 1)], [], []
+    k = _fork_count(n * len(cols))
+    bounds = [n * i // k for i in range(k + 1)]
     with _open_text(path, "wt") as fh:
         if header:
             fh.write(comments + header.replace("\n", "\n" + comments) + "\n")
-        try:
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                tmps.append(tempfile.TemporaryFile("w+", **_CHILD_TEXT))
-                pid = os.fork()
-                if pid == 0:  # the child leaves only through os._exit
-                    try:
-                        _write_rows(tmps[-1], row, [c[lo:hi] for c in cols])
-                        tmps[-1].flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                pids.append(pid)
+        with _forked(k, lambda i, tmp: _write_rows(
+                tmp, row, [c[bounds[i]:bounds[i + 1]] for c in cols]),
+                mode="w+", **_CHILD_TEXT) as done:
             _write_rows(fh, row, [c[:bounds[1]] for c in cols])
-            for tmp in tmps:
-                status = os.waitpid(pids[0], 0)[1]
-                del pids[0]
-                if status:
-                    raise OSError(f"a table-writing child failed ({status})")
-                tmp.seek(0)
+            for tmp in done:
                 shutil.copyfileobj(tmp, fh)
-        finally:
-            for pid in pids:
-                os.kill(pid, 9)  # SIGKILL
-                os.waitpid(pid, 0)
-            for tmp in tmps:
-                tmp.close()
 
 
 def _write_rows(out, row: str, cols) -> None:
@@ -240,3 +220,97 @@ def _write_rows(out, row: str, cols) -> None:
         chunk = [c[lo:lo + _ROWS].tolist() for c in cols]
         out.write(row * len(chunk[0])
                   % tuple(itertools.chain.from_iterable(zip(*chunk))))
+
+
+def _fork_count(cells: int) -> int:
+    """k = min(CPUs, cells // _FORK_CELLS), CPUs from os.sched_getaffinity;
+    1 at k < 2, without os.fork, or while another Python thread is alive."""
+    k = min(cells // _FORK_CELLS, len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    alone = hasattr(os, "fork") and threading.active_count() == 1
+    return k if k > 1 and alone else 1
+
+
+@contextlib.contextmanager
+def _forked(k: int, work, **tmp):
+    """Run work(i, file) for i = 1 .. k-1 in forked children, each into its
+    own tempfile.TemporaryFile(**tmp); yields an iterator over those files,
+    each rewound once its child has exited (OSError if it failed).  On
+    leaving, every child not yet reaped is killed and reaped."""
+    files, pids = [], []
+
+    def reaped():
+        for file in files:
+            if status := os.waitpid(pids.pop(0), 0)[1]:
+                raise OSError(f"a forked child failed ({status})")
+            file.seek(0)
+            yield file
+    try:
+        for i in range(1, k):
+            files.append(tempfile.TemporaryFile(**tmp))
+            if (pid := os.fork()) == 0:  # leaves only through os._exit
+                try:
+                    work(i, files[-1])
+                    files[-1].flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        yield reaped()
+    finally:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        for file in files:
+            file.close()
+
+
+class _Range(io.RawIOBase):
+    """Bytes lo:hi of the file open as descriptor fd, read by os.pread."""
+
+    def __init__(self, fd: int, lo: int, hi: int):
+        self.fd, self.pos, self.hi = fd, lo, hi
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self.fd, min(len(buf), self.hi - self.pos), self.pos)
+        buf[:len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+    def rows(self):
+        """np.loadtxt(ndmin=2) of the text, decoded as open() decodes."""
+        return np.loadtxt(io.TextIOWrapper(io.BufferedReader(self)), ndmin=2)
+
+    def line_end(self) -> int:
+        """The offset just past the first newline, else hi."""
+        return self.pos + len(io.BufferedReader(self).readline())
+
+
+def _read_rows(fh, cells: int):
+    """np.loadtxt(fh, ndmin=2) for the rest of the open text file fh, which
+    should hold `cells` values, by the rule that load_mode_field states."""
+    k = 1  # for one of _OPENERS or a pipe, which cannot be cut, and for a
+    # file whose header ends in a lone "\r": tell() then gives a cookie
+    # beyond the end that carries the decoder's state, not a byte offset
+    if isinstance(fh.buffer, io.BufferedReader) and fh.seekable():
+        fd, lo = fh.fileno(), fh.tell()
+        size = os.fstat(fd).st_size
+        k = _fork_count(cells) if lo <= size else 1
+    if k > 1:  # so no other thread sees the warning filter below
+        cuts = [lo, *(_Range(fd, lo + (size - lo) * i // k, size).line_end()
+                      for i in range(1, k)), size]
+        try:  # a failed child, or an error or warning in range 0, ...
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the children's filter too
+                with _forked(k, lambda i, file: np.save(
+                        file, _Range(fd, *cuts[i:i + 2]).rows(),
+                        allow_pickle=False)) as done:
+                    parts = [_Range(fd, *cuts[:2]).rows()]
+                    parts += [np.load(file) for file in done]
+                return np.concatenate(parts)  # fails if the columns differ
+        except (OSError, ValueError, Warning):  # ... leaves fh where it was,
+            pass  # to be parsed serially, with the serial errors and warnings
+    return np.loadtxt(fh, ndmin=2)

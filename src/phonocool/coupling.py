@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ParameterError, _open_text, _require_finite, _write_columns
+from .core import (ParameterError, _open_text, _read_rows, _require_finite,
+                   _write_columns)
 
 
 class GridError(ValueError):
@@ -251,14 +252,20 @@ def save_mode_field(path, field_: ModeField) -> None:
 
 def load_mode_field(path, periodic=(False, False, False)) -> ModeField:
     """Read a mode field written by save_mode_field, compressed or not;
-    flag it with dataclasses.replace(f, longitudinal=True, curl_tol=tol)."""
+    flag it with dataclasses.replace(f, longitudinal=True, curl_tol=tol).
+
+    The header must be three positive integers.  Reading mirrors writing:
+    the rows of an uncompressed file are parsed in k = min(CPUs, nx*ny*nz*9
+    // _FORK_CELLS) byte ranges cut at newlines, all but the first by forked
+    children.  A compressed file or a pipe is parsed serially, and so is a
+    file whose ranges fail, so every error and warning is the serial one."""
     with _open_text(path, "rt") as fh:
-        first = fh.readline().split()
-        if len(first) != 3:
-            raise GridError(f"{path}: header must hold three grid dimensions")
-        nx, ny, nz = (int(t) for t in first)
-        data = np.loadtxt(fh)
-    data = np.atleast_2d(data)
+        dims = [int(t) if t.isdecimal() else 0 for t in fh.readline().split()]
+        if len(dims) != 3 or min(dims) < 1:
+            raise GridError(f"{path}: header must hold three grid dimensions, "
+                            "each a positive integer")
+        nx, ny, nz = dims
+        data = _read_rows(fh, nx * ny * nz * 9)
     if data.shape != (nx * ny * nz, 9):
         raise GridError(f"{path}: expected {nx * ny * nz} rows of 9 columns, "
                         f"got shape {data.shape}")

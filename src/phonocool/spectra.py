@@ -195,8 +195,10 @@ def antistokes_spectrum(params: SystemParams, omegas) -> SpectrumCurve:
     _, d1, d2, d = _response(params, omegas)
     n = _noise_densities(params)
     with np.errstate(over="ignore"):  # _over_squares refuses an inf
-        num = (n[1] * np.abs(params.g1 / d1)**2
-               + n[2] * np.abs(params.g2 / d2)**2)
+        # an empty channel adds exactly 0, even where its |g/d|^2 overflows
+        num = sum((ni * np.abs(g / di)**2 for ni, g, di in
+                   ((n[1], params.g1, d1), (n[2], params.g2, d2)) if ni),
+                  np.zeros(omegas.shape))
     return SpectrumCurve(omegas=omegas, values=_over_squares(num, d),
                          kind="antistokes")
 

@@ -1014,6 +1014,22 @@ def test_antistokes_numerator_overflow_is_one_line(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_antistokes_empty_channel_writes_zeros(tmp_path, capsys):
+    # with nbar1 = 0 the overflowed |g1/d1|^2 term is skipped, not 0 * inf
+    out = tmp_path / "a.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = invoke(["antistokes", "--g1", "1e140", "--gamma1", "1e-20",
+                       "--gamma2", "0.01", "--nbar1", "0", "--count", "5",
+                       "--omega-min=-1", "--omega-max", "1",
+                       "--output", str(out)])
+    assert code == 0
+    assert capsys.readouterr() == (f"wrote {out}\n", "")
+    data = np.loadtxt(out, delimiter=",")
+    assert np.array_equal(data, np.column_stack([np.linspace(-1, 1, 5),
+                                                 np.zeros(5)]))
+
+
 def test_complex_flag_error_names_the_type(capsys):
     assert invoke(["cooling-ratio", "--g1", "[0.3, 0.1]"]) == 1
     assert capsys.readouterr().err == (

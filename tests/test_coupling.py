@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -684,6 +685,22 @@ def test_mode_field_load_rejects_bad_header(tmp_path):
     path.write_text("4 4\n")
     with pytest.raises(GridError, match="header"):
         load_mode_field(path)
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["header-only", "rows"])
+@pytest.mark.parametrize("header", ["4.0 4 4", "4 4 x", "-4 -4 4", "0 0 0"])
+def test_mode_field_header_must_be_three_positive_integers(tmp_path, header,
+                                                           rows):
+    # refused by a GridError naming the file before any row is read, with
+    # no numpy warning
+    path = tmp_path / "bad.txt"
+    save_mode_field(path, plane_wave(open_box(4), [0.4, 0, 0], [1, 0, 0]))
+    lines = path.read_text().splitlines(True)
+    path.write_text(header + "\n" + ("".join(lines[1:]) if rows else ""))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match=re.escape(f"{path}: header")):
+            load_mode_field(path)
 
 
 def test_mode_field_load_rejects_wrong_row_count(tmp_path):

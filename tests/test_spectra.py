@@ -213,6 +213,32 @@ def test_antistokes_zero_without_coupling():
     assert np.all(antistokes_spectrum(UNCOUPLED, om).values == 0)
 
 
+def test_antistokes_empty_channel_adds_exactly_zero():
+    # nbar1 = nbar2 = 0 empties both channels; |g1/d1|^2 overflows while d
+    # stays finite (|d| <= 1e300), so the density is 0, with no warning
+    p = SystemParams(g1=1e140, gamma1=1e-20, gamma2=0.01, nbar1=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = antistokes_spectrum(p, np.linspace(-1, 1, 5)).values
+    assert np.array_equal(values, np.zeros(5))
+
+
+@pytest.mark.parametrize("empty", [None, "nbar1", "nbar2"])
+@pytest.mark.parametrize("seed", range(6))
+def test_antistokes_numerator_is_the_two_channel_sum(seed, empty):
+    # skipping an empty channel leaves every density the plain sum over
+    # both channels divided by |d|^2, bit for bit
+    p = random_params(np.random.default_rng(seed))
+    if empty:
+        p = replace(p, **{empty: 0.0})
+    om = np.linspace(-2, 2, 257)
+    _, d1, d2, d = spectra._response(p, om)
+    n = 2 * np.array([p.gamma1 * p.nbar1, p.gamma2 * p.nbar2])
+    num = n[0] * np.abs(p.g1 / d1)**2 + n[1] * np.abs(p.g2 / d2)**2
+    assert np.array_equal(antistokes_spectrum(p, om).values,
+                          num / np.abs(d)**2)
+
+
 def _interior_peaks(om, v):
     mask = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
     return om[1:-1][mask]

@@ -1,19 +1,22 @@
 """The columnar text writer against np.savetxt, kept here as the oracle:
 every table the program writes must be byte for byte what
-np.savetxt(fmt="%.17g") wrote for the same columns."""
+np.savetxt(fmt="%.17g") wrote for the same columns.  The mode-field reader
+is held the same way to one serial np.loadtxt parse."""
 import ast
 import os
 import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import phonocool
 from phonocool import (ModeField, SystemParams, ThreeWaveParams, ThreeWaveState,
-                       evolve_three_wave, phonon_spectrum,
+                       evolve_three_wave, load_mode_field, phonon_spectrum,
                        save_curve, save_mode_field)
 from phonocool import core, langevin
 from phonocool.cli import main
@@ -435,3 +438,254 @@ def test_no_fork_for_a_spectrum(tmp_path, monkeypatch):
     assert main(["spectrum", "--gamma1", "0.01", "--gamma2", "0.01",
                  "--nbar1", "1", "--output", str(out)]) == 0
     assert len(np.loadtxt(out, delimiter=",")) == 4001
+
+
+# ---------------------------------------------------------------------------
+# the forked reader: the same arrays as one np.loadtxt parse
+
+
+def loadtxt_field(path):
+    """(axes, values) as one serial np.loadtxt parse reads them."""
+    with core._open_text(path, "rt") as fh:
+        nx, ny, nz = map(int, fh.readline().split())
+        data = np.loadtxt(fh)
+    coords = data[:, :3].reshape(nx, ny, nz, 3)
+    return ((coords[:, 0, 0, 0], coords[0, :, 0, 1], coords[0, 0, :, 2]),
+            (data[:, 3::2] + 1j * data[:, 4::2]).reshape(nx, ny, nz, 3))
+
+
+def assert_same_field(f, path):
+    axes, values = loadtxt_field(path)
+    for got, want in zip(f.axes, axes):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(f.values.view(np.uint64), values.view(np.uint64))
+
+
+def loaded(monkeypatch, cpus, path):
+    """(field, forks, ranges): load_mode_field(path) with `cpus` CPUs, how
+    many children it forked, and the byte ranges that the parent parsed;
+    no child is left."""
+    forks = use_cpus(monkeypatch, cpus)
+    ranges, rows = [], core._Range.rows
+
+    def spy(self):
+        ranges.append((self.pos, self.hi))
+        return rows(self)
+    monkeypatch.setattr(core._Range, "rows", spy)
+    try:
+        return load_mode_field(path), len(forks), ranges
+    finally:
+        assert_no_child()
+
+
+def field_file(tmp_path, shape, name="f.txt"):
+    rng = np.random.default_rng(shape)
+    axes = tuple(np.cumsum(rng.uniform(0.01, 1.0, n)) for n in shape)
+    path = tmp_path / name
+    save_mode_field(path, ModeField(axes, rng.standard_normal(shape + (3,))
+                                    + 1j * rng.standard_normal(shape + (3,))))
+    return path
+
+
+def assert_range_zero_only(path, ranges, forks):
+    # the parent parsed its own range alone, ending at a line end
+    text = path.read_bytes()
+    assert len(ranges) == 1
+    (lo, hi), = ranges
+    assert text[lo - 1:lo] == text[hi - 1:hi] == b"\n"
+    assert 0 < hi - lo < len(text) - lo
+    assert forks >= 1
+
+
+@pytest.mark.parametrize("m, cpus, forks", [(3640, 2, 0), (3641, 2, 1),
+                                            (5461, 3, 1), (5462, 3, 2)])
+def test_forked_reads_around_the_threshold(tmp_path, monkeypatch, m, cpus,
+                                           forks):
+    # 2 x 2 x m rows of 9 values: the first fork at 2F cells, the second
+    # at 3F, as the writer splits
+    path = field_file(tmp_path, (2, 2, m))
+    f, got, ranges = loaded(monkeypatch, cpus, path)
+    assert_same_field(f, path)
+    assert got == forks
+    if forks:
+        assert_range_zero_only(path, ranges, forks)
+
+
+def test_forked_read_uneven_split_more_cpus_than_ranges(tmp_path,
+                                                        monkeypatch):
+    path = field_file(tmp_path, (3, 7, 1093))  # 3.003 F cells
+    f, forks, ranges = loaded(monkeypatch, 8, path)
+    assert_same_field(f, path)
+    assert forks == 2
+    assert_range_zero_only(path, ranges, forks)
+
+
+def test_forked_read_comments_and_blank_lines_across_cuts(tmp_path,
+                                                          monkeypatch):
+    # a block of comment and blank lines at each third of the bytes, so
+    # that every cut falls inside one
+    path = field_file(tmp_path, (4, 4, 1400))
+    lines = path.read_text().splitlines(True)
+    block = ["# a comment line " + "x" * 600 + "\n", "\n", "   \n",
+             "#\n", "# " + "y" * 600 + "\n", "\n"] * 2
+    size = sum(map(len, lines))
+    at = np.searchsorted(np.cumsum([len(ln) for ln in lines]),
+                         [size / 3, 2 * size / 3])
+    for i in sorted(at, reverse=True):
+        lines[i + 1:i + 1] = block
+    path.write_text("".join(lines))
+    f, forks, ranges = loaded(monkeypatch, 3, path)
+    assert_same_field(f, path)
+    assert forks == 2
+    assert_range_zero_only(path, ranges, forks)
+    text = path.read_bytes()
+    assert text[ranges[0][1]:].lstrip().startswith(b"#")
+
+
+def test_a_range_without_rows_warns_nothing(tmp_path, monkeypatch):
+    # comment lines fill the first half of the bytes: the parent's range
+    # holds no row, which np.loadtxt warns about; the whole file does not
+    path = field_file(tmp_path, (2, 3, 2500))
+    header, rows = path.read_text().split("\n", 1)
+    comments = ("# " + "c" * 78 + "\n") * (len(rows) // 80 + 1)
+    path.write_text(header + "\n" + comments + rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f, forks, _ = loaded(monkeypatch, 2, path)
+    assert caught == []
+    assert_same_field(f, path)
+    assert forks == 1
+
+
+def test_forked_read_crlf_line_ends(tmp_path, monkeypatch):
+    path = field_file(tmp_path, (2, 3, 2500))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    f, forks, ranges = loaded(monkeypatch, 2, path)
+    assert_same_field(f, path)
+    assert forks == 1
+    assert_range_zero_only(path, ranges, forks)
+
+
+def test_lone_cr_line_ends_are_read_serially(tmp_path, monkeypatch):
+    # no "\n" to cut at, and tell() after the header is no byte offset
+    path = field_file(tmp_path, (2, 3, 2500))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    f, forks, ranges = loaded(monkeypatch, 2, path)
+    assert_same_field(f, path)
+    assert (forks, ranges) == (0, [])
+
+
+def test_compressed_read_stays_serial(tmp_path, monkeypatch):
+    path = field_file(tmp_path, (2, 3, 2500), "f.txt.gz")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    refuse_fork(monkeypatch)
+    assert_same_field(load_mode_field(path), path)
+    assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_pipe_is_read_serially(tmp_path, monkeypatch):
+    # a pipe can be neither cut nor told its position: it streams serially
+    source = field_file(tmp_path, (2, 3, 2500))
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    refuse_fork(monkeypatch)
+    feeder = threading.Thread(target=lambda: path.write_bytes(
+        source.read_bytes()), daemon=True)
+    feeder.start()
+    try:
+        f = load_mode_field(path)
+    finally:
+        feeder.join(timeout=10)
+    assert not feeder.is_alive()
+    assert_same_field(f, source)
+
+
+def _serial_error(monkeypatch, path):
+    with pytest.raises(ValueError) as serial:
+        loadtxt_field(path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ValueError) as ours:
+        load_mode_field(path)
+    assert str(ours.value) == str(serial.value)
+    return str(serial.value)
+
+
+@pytest.mark.parametrize("where, edit", [
+    (0.9, lambda row: row.replace(" ", " x", 1)),  # a child's range
+    (0.1, lambda row: row.rsplit(" ", 1)[0] + "\n")],  # the parent's
+    ids=["malformed-in-a-child", "short-row-in-the-parent"])
+def test_forked_read_raises_the_serial_error(tmp_path, monkeypatch, where,
+                                             edit):
+    path = field_file(tmp_path, (2, 3, 2500))
+    lines = path.read_text().splitlines(True)
+    lines[int(where * len(lines))] = edit(lines[int(where * len(lines))])
+    path.write_text("".join(lines))
+    message = _serial_error(monkeypatch, path)  # line number included
+    forks = use_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError) as forked:
+        load_mode_field(path)
+    assert str(forked.value) == message
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def test_a_failed_reading_child_gives_the_serial_result(tmp_path,
+                                                        monkeypatch):
+    # the child writes a wrong but valid array, then fails: the parent
+    # must parse serially, not use it
+    path = field_file(tmp_path, (2, 3, 2500))
+    save = np.save
+
+    def save_then_fail(file, arr, **kw):
+        save(file, np.zeros_like(arr), **kw)
+        file.flush()
+        raise RuntimeError("child failure")
+    monkeypatch.setattr(np, "save", save_then_fail)
+    f, forks, ranges = loaded(monkeypatch, 2, path)
+    assert_same_field(f, path)
+    assert forks == 1
+
+
+def test_no_forked_read_while_another_thread_is_alive(tmp_path, monkeypatch):
+    path = field_file(tmp_path, (2, 3, 2500))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    refuse_fork(monkeypatch)
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        f = load_mode_field(path)
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert_same_field(f, path)
+    assert_no_child()
+
+
+def test_forked_read_never_holds_the_text(tmp_path, monkeypatch):
+    # the parent's peak stays under the size of the file it parses
+    path = field_file(tmp_path, (16, 16, 64))
+    use_cpus(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        load_mode_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_no_child()
+    assert peak < path.stat().st_size
+
+
+def test_os_fork_in_one_function():
+    # the writer and the reader share one fork, wait and reap path
+    sites = []
+    for path in pathlib.Path(phonocool.__file__).parent.glob("*.py"):
+        for fn in ast.parse(path.read_text()).body:
+            sites += [f"{path.stem}.{getattr(fn, 'name', None)}"
+                      for node in ast.walk(fn)
+                      if isinstance(node, ast.Attribute) and node.attr == "fork"]
+    assert sites == ["core._forked"]
