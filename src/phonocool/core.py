@@ -236,7 +236,12 @@ def _forked(k: int, work, **tmp):
     """Run work(i, file) for i = 1 .. k-1 in forked children, each into its
     own tempfile.TemporaryFile(**tmp); yields an iterator over those files,
     each rewound once its child has exited (OSError if it failed).  On
-    leaving, every child not yet reaped is killed and reaped."""
+    leaving, every child not yet reaped is killed and reaped.
+
+    From Python 3.12 os.fork warns that a process with a second OS thread
+    (numpy's BLAS pool is one) may deadlock in the child; that warning is
+    ignored: a child only formats with %, parses with np.loadtxt and writes
+    with np.save, and it makes no BLAS call and takes no lock."""
     files, pids = [], []
 
     def reaped():
@@ -248,7 +253,12 @@ def _forked(k: int, work, **tmp):
     try:
         for i in range(1, k):
             files.append(tempfile.TemporaryFile(**tmp))
-            if (pid := os.fork()) == 0:  # leaves only through os._exit
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", r"This process .* is multi-"
+                                        r"threaded, use of fork\(\)",
+                                        DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # leaves only through os._exit
                 try:
                     work(i, files[-1])
                     files[-1].flush()

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -371,7 +372,7 @@ def test_sidecar_replay_parses_as_the_command_line(command, tmp_path):
 def test_help_before_a_command_is_the_top_level_help(command, capsys):
     texts = []
     for parse in (main, build_parser().parse_args):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="^0$"):  # exit status 0
             parse([command, "--help"])
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
@@ -401,6 +402,15 @@ def test_version(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out == "phonocool 0.1.0\n"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
+def test_console_script_is_main():
+    import tomllib
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"phonocool": "phonocool.cli:main"}
+    assert pkgutil.resolve_name(scripts["phonocool"]) is main
 
 
 @pytest.mark.parametrize("command", ["spectrum", "antistokes"])
@@ -1213,13 +1223,19 @@ RUN_COLD = ("import sys; from phonocool import cli; "
             "print(cli.main(sys.argv[1:]), 'scipy' in sys.modules)")
 
 
-def run_cold(code, *argv, cwd=None):
-    """Stdout lines of `code` run with `argv` in a fresh interpreter that
-    imports the same phonocool as this one."""
+def run_process(code, *argv, cwd=None):
+    """`code` run with `argv` in a fresh interpreter that imports the same
+    phonocool as this one: its subprocess.CompletedProcess."""
     src = os.path.dirname(os.path.dirname(phonocool.__file__))
-    out = subprocess.run([sys.executable, "-c", code, *argv], check=True,
-                         capture_output=True, text=True, timeout=60, cwd=cwd,
-                         env={**os.environ, "PYTHONPATH": src})
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=60, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def run_cold(code, *argv, cwd=None):
+    """Stdout lines of run_process(code, *argv), which must exit 0."""
+    out = run_process(code, *argv, cwd=cwd)
+    out.check_returncode()
     return out.stdout.splitlines()
 
 
@@ -1277,6 +1293,60 @@ def test_thread_pool_is_loaded_by_the_monte_carlo_only(tmp_path):
         lines = run_cold(code, command, *ROUND_TRIP[command][0],
                          "--output", "out", cwd=tmp_path)
         assert lines[-1] == f"0 {loaded}"
+
+
+# ---------------------------------------------------------------------------
+# sys.exit(main()) in a real process, on the one CPU given first ("all":
+# every CPU of this process), which prints its fork count last
+
+ON_CPUS = ("import atexit, os, sys; cpu = sys.argv.pop(1); "
+           "cpu == 'all' or os.sched_setaffinity(0, {int(cpu)}); "
+           "forks, fork = [], os.fork; "
+           "os.fork = lambda: forks.append(0) or fork(); "
+           "atexit.register(lambda: print(f'forks={len(forks)}')); "
+           "from phonocool.cli import main; sys.exit(main())")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.sched_setaffinity and two CPUs")
+@pytest.mark.parametrize("argv, rows", [  # 2x10^4 rows, three 32^3 fields
+    ("three-wave --kappa1 0.3 --gamma 0.1 --delta1 0.4 --delta2=-0.25 "
+     "--mismatch 0.37 --beta=0.6+0.45j --pump=0.5-0.3j --a1=1.0+0.2j "
+     "--a2=0.5j --u=0.3-0.1j --t-end 200 --dt 0.01", 20001),
+    ("coupling --phi1 phi1.txt --phi2 phi2.txt --psi psi.txt --gamma-e 2 "
+     "--omega-c1 3 --omega-c2 4 --periodic-x --periodic-y --periodic-z", 1)],
+    ids=["three-wave", "coupling"])
+def test_one_cpu_and_every_cpu_write_the_same_bytes(argv, rows, tmp_path):
+    if argv.startswith("coupling"):
+        ax = np.arange(32) / 32
+        for name, k, pol in (("phi1", 4, [0, 1, 0]), ("phi2", 6, [0, 1, 0]),
+                             ("psi", 2, [1, 0, 0])):
+            save_mode_field(tmp_path / f"{name}.txt", plane_wave(
+                (ax, ax, ax), [2 * np.pi * k, 0, 0], pol))
+    one = str(min(os.sched_getaffinity(0)))
+    last = [run_cold(ON_CPUS, cpu, *argv.split(), "--output", cpu,
+                     cwd=tmp_path)[-1] for cpu in (one, "all")]
+    assert last[0] == "forks=0" and int(last[1][6:]) >= 1
+    data = (tmp_path / one).read_bytes()
+    assert data == (tmp_path / "all").read_bytes()
+    assert sum(not ln.startswith(b"#") for ln in data.splitlines()) == rows
+    assert (tmp_path / "all.meta.json").exists()
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    ("spectrum -h", 0, "usage: phonocool spectrum [-h]", ""),
+    ("spectrum --gamma1 0.01 --gamma2 0.01 --omega-max nan --count 5", 1,
+     "forks=0\n", "error: --omega-max must be finite, got nan\n"),
+    ("spectrum --g1 1e200 --gamma1 0.01 --nbar1 1", 2, "forks=0\n",
+     "numerical failure: spectrum: a value left the float range\n")],
+    ids=["help", "nan-grid", "overflow"])
+def test_exit_status_of_a_process(argv, status, out, err, tmp_path):
+    done = run_process(ON_CPUS, "all", *argv.split(), "--output", "out.csv",
+                       cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (status, err)
+    assert done.stdout.startswith(out)
+    assert list(tmp_path.iterdir()) == []  # no output, no sidecar
 
 
 # ---------------------------------------------------------------------------

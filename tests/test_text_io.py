@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -390,13 +391,25 @@ def test_a_failed_child_raises(tmp_path, monkeypatch):
     assert_no_child()
 
 
+class _Stalled(_Unprintable):
+    """Text that no process can format; a forked child takes 20 s to
+    fail."""
+    parent = os.getpid()
+
+    def __str__(self):
+        if os.getpid() != self.parent:
+            time.sleep(20)
+        return super().__str__()
+
+
 def test_a_failure_in_the_parent_kills_the_child(tmp_path, monkeypatch):
-    # the first row is in the parent's range; the running child is killed
-    text = np.array(["1"] * (8 * F), dtype=object)
-    text[0] = _Unprintable()
+    # the child cannot finish: it is killed, not waited for
+    text = np.full(2 * F, _Stalled(), dtype=object)
     forks = use_cpus(monkeypatch, 2)
+    start = time.monotonic()
     with pytest.raises(ValueError, match="no text"):
-        core._write_columns(tmp_path / "out.csv", "h", [text, text])
+        core._write_columns(tmp_path / "out.csv", "h", [text])
+    assert time.monotonic() - start < 5
     assert len(forks) == 1
     assert_no_child()
 
@@ -678,6 +691,26 @@ def test_forked_read_never_holds_the_text(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert_no_child()
     assert peak < path.stat().st_size
+
+
+def test_the_fork_warning_of_python_3_12_is_silenced(tmp_path, monkeypatch):
+    # from 3.12, os.fork warns in the parent while a second OS thread runs
+    path, fork = field_file(tmp_path, (2, 3, 2500)), _FORK
+
+    def warns():
+        if pid := fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-"
+                          "threaded, use of fork() may lead to deadlocks in "
+                          "the child.", DeprecationWarning, stacklevel=2)
+        return pid
+    monkeypatch.setitem(globals(), "_FORK", warns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, forks, ranges = loaded(monkeypatch, 2, path)  # the reader
+        assert (forks, len(ranges)) == (1, 1)  # not the serial fallback
+        assert written(tmp_path, monkeypatch, 2, "f.txt",  # the writer
+                       lambda p: save_mode_field(p, f)) == (
+                           path.read_bytes(), 1)
 
 
 def test_os_fork_in_one_function():
