@@ -1,5 +1,6 @@
 import argparse
 import ast
+import errno
 import hashlib
 import json
 import os
@@ -585,7 +586,31 @@ def test_overflowing_coupling_is_a_numerical_failure(command, tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_rejected([command, "--g1", "1e200", "--gamma1", "0.01",
-                         "--nbar1", "1"], "", tmp_path / "out.csv", capsys, 2)
+                         "--nbar1", "1"], "a value left the float range",
+                        tmp_path / "out.csv", capsys, 2)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", [
+    [name, "--gamma1", "0.01", "--gamma2", "0.01", "--nbar1", "1"]
+    for name in ("cooling-ratio", "spectrum", "collective")] + [
+    ["simulate", "--n-traj", "2", "--t-end", "20", "--dt", "0.5",
+     "--burn-in", "10", "--gamma1", "1", "--gamma2", "1", "--nbar1", "1"]],
+    ids=lambda argv: argv[0])
+def test_an_unwritable_output_is_one_error_line(command, where, tmp_path,
+                                                capsys):
+    # the OSError of open() itself, naming the path; no sidecar
+    if where == "directory":
+        out, code = tmp_path / "out", errno.EISDIR
+        out.mkdir()
+    else:
+        out, code = tmp_path / "missing" / "out", errno.ENOENT
+    assert invoke(command + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n")
+    assert not pathlib.Path(f"{out}.meta.json").exists()
+    assert [p.name for p in tmp_path.rglob("*")] == (
+        ["out"] if where == "directory" else [])
 
 
 OCCUPANCY_OVERFLOW = [
@@ -667,7 +692,7 @@ def test_three_wave_overflowing_amplitude_violates_the_guard(tmp_path,
                     tmp_path / "tw.csv", capsys, 2)
 
 
-@pytest.mark.parametrize("command", ["spectrum", "collective"])
+@pytest.mark.parametrize("command", ["spectrum", "collective", "antistokes"])
 def test_arithmetic_failure_line_names_command_and_failure(command, tmp_path,
                                                            capsys):
     # the errno text of the OverflowError is the platform's; the line is not

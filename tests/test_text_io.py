@@ -3,8 +3,11 @@ every table the program writes must be byte for byte what
 np.savetxt(fmt="%.17g") wrote for the same columns.  The mode-field reader
 is held the same way to one serial np.loadtxt parse."""
 import ast
+import gzip
+import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import threading
@@ -244,6 +247,102 @@ def test_no_second_writer_in_the_package():
 
 
 # ---------------------------------------------------------------------------
+# writing over an existing file: the same file, holding the new bytes only
+
+# longer than any output written over it below
+OLD = b"an old line that no rewrite may leave behind\n" * 6000
+COLUMNS = [np.linspace(-1.0, 1.0, 100), np.arange(100) * 0.5]
+
+
+def old_file(path, mode=None):
+    path.write_bytes(OLD)
+    if mode is not None:
+        path.chmod(mode)
+    return path
+
+
+def test_a_table_written_over_a_longer_file_is_savetxt(tmp_path):
+    path = old_file(tmp_path / "out.csv")
+    core._write_columns(path, "h", COLUMNS)
+    assert path.read_bytes() == savetxt_bytes(tmp_path, COLUMNS, "h")
+
+
+@pytest.mark.parametrize("name", ["out.json", "out.json.gz"])
+def test_json_written_over_a_longer_file_is_plain_json(tmp_path, name):
+    # whatever the suffix: a sidecar or stats path is never compressed
+    obj = {"b": [1.5, None], "a": "x"}
+    path = old_file(tmp_path / name)
+    core._write_json(path, obj)
+    assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_compressed_table_written_over_a_longer_file(tmp_path):
+    # the same text and the same gzip header as written fresh, but for the
+    # time in bytes 4-7
+    (tmp_path / "fresh").mkdir()
+    fresh = tmp_path / "fresh" / "out.csv.gz"
+    path = old_file(tmp_path / "out.csv.gz")
+    core._write_columns(fresh, "h", COLUMNS)
+    core._write_columns(path, "h", COLUMNS)
+    got, want = path.read_bytes(), fresh.read_bytes()
+    assert gzip.decompress(got) == savetxt_bytes(tmp_path, COLUMNS, "h")
+    assert got[3] & 0x08  # FNAME: the name without .gz, NUL-terminated
+    assert got[10:got.index(b"\0", 10)] == b"out.csv"
+    assert got[:4] + got[8:] == want[:4] + want[8:]
+
+
+def test_a_symlink_stays_a_link_and_its_target_gets_the_bytes(tmp_path):
+    target = old_file(tmp_path / "target.csv")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    core._write_columns(link, "h", COLUMNS)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == savetxt_bytes(tmp_path, COLUMNS, "h")
+
+
+def test_a_hard_link_sees_the_bytes(tmp_path):
+    path = old_file(tmp_path / "out.csv")
+    os.link(path, tmp_path / "other.csv")
+    inode = path.stat().st_ino
+    core._write_columns(path, "h", COLUMNS)
+    assert path.stat().st_ino == inode
+    assert ((tmp_path / "other.csv").read_bytes()
+            == savetxt_bytes(tmp_path, COLUMNS, "h"))
+
+
+def test_the_mode_of_an_existing_file_is_kept(tmp_path):
+    table = old_file(tmp_path / "out.csv", 0o600)
+    record = old_file(tmp_path / "out.json", 0o600)
+    core._write_columns(table, "h", COLUMNS)
+    core._write_json(record, {})
+    assert stat.S_IMODE(table.stat().st_mode) == 0o600
+    assert stat.S_IMODE(record.stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("umask", [0o000, 0o022, 0o077],
+                         ids=lambda m: f"umask-{m:03o}")
+def test_a_new_file_gets_the_mode_that_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "open.txt", "w"):
+            pass
+        core._write_columns(tmp_path / "new.csv", "h", COLUMNS)
+        core._write_json(tmp_path / "new.json", {})
+    finally:
+        os.umask(previous)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("open.txt", "new.csv", "new.json")}
+    assert modes == {0o666 & ~umask}
+
+
+def test_writing_to_the_null_device():
+    # a character device is written, never cut
+    core._write_columns(os.devnull, "h", COLUMNS)
+    core._write_json(os.devnull, {"a": 1})
+    assert not stat.S_ISREG(os.stat(os.devnull).st_mode)
+
+
+# ---------------------------------------------------------------------------
 # the forked writer: the same bytes whatever the CPU count
 
 F = core._FORK_CELLS
@@ -381,14 +480,17 @@ class _Unprintable:
 
 
 def test_a_failed_child_raises(tmp_path, monkeypatch):
-    # the last row is in the child's range
+    # the last row is in the child's range; the longer file written over
+    # holds the parent's rows and none of its old bytes
     text = np.array(["1"] * F, dtype=object)
     text[-1] = _Unprintable()
+    path = old_file(tmp_path / "out.csv")
     forks = use_cpus(monkeypatch, 2)
     with pytest.raises(OSError, match="child failed"):
-        core._write_columns(tmp_path / "out.csv", "h", [text, text])
+        core._write_columns(path, "h", [text, text])
     assert len(forks) == 1
     assert_no_child()
+    assert path.read_bytes() == b"# h\n" + b"1,1\n" * (F // 2)
 
 
 class _Stalled(_Unprintable):
@@ -403,15 +505,18 @@ class _Stalled(_Unprintable):
 
 
 def test_a_failure_in_the_parent_kills_the_child(tmp_path, monkeypatch):
-    # the child cannot finish: it is killed, not waited for
+    # the child cannot finish: it is killed, not waited for; the longer
+    # file written over holds the header alone
     text = np.full(2 * F, _Stalled(), dtype=object)
+    path = old_file(tmp_path / "out.csv")
     forks = use_cpus(monkeypatch, 2)
     start = time.monotonic()
     with pytest.raises(ValueError, match="no text"):
-        core._write_columns(tmp_path / "out.csv", "h", [text])
+        core._write_columns(path, "h", [text])
     assert time.monotonic() - start < 5
     assert len(forks) == 1
     assert_no_child()
+    assert path.read_bytes() == b"# h\n"
 
 
 def test_cpu_count_without_an_affinity_mask(tmp_path, monkeypatch):
