@@ -9,8 +9,6 @@ from .core import (
     SystemParams,
     ThreeWaveParams,
     ThreeWaveState,
-    validate,
-    validate_three_wave,
 )
 from .coupling import (
     GridError,
@@ -27,7 +25,6 @@ from .coupling import (
     save_mode_field,
 )
 from .dynamics import (
-    AdiabaticReduction,
     CollectiveModes,
     IntegrationError,
     Trajectory,

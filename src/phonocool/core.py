@@ -37,10 +37,24 @@ def _require_finite(name: str, value) -> None:
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
-def _require_finite_fields(obj) -> None:
-    """Reject a dataclass instance with a field that is not finite."""
+def _build(obj, positive=(), nonnegative=()) -> None:
+    """The one construction rule of the parameter types, run by their
+    __post_init__ (dataclasses.replace included), so an invalid parameter
+    set cannot exist: coerce each field to its annotated kind, complex or
+    float, then raise ParameterError naming the first field that is not
+    finite, the first of `positive` that is not positive, or the first of
+    `nonnegative` that is negative, in that order."""
+    for f in fields(obj):
+        kind = complex if f.type == "complex" else float
+        object.__setattr__(obj, f.name, kind(getattr(obj, f.name)))
     for f in fields(obj):
         _require_finite(f.name, getattr(obj, f.name))
+    for name in positive:
+        if not getattr(obj, name) > 0:
+            raise ParameterError(f"{name} must be positive")
+    for name in nonnegative:
+        if getattr(obj, name) < 0:
+            raise ParameterError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -66,34 +80,11 @@ class SystemParams:
     nbar2: float | None = None
 
     def __post_init__(self):
-        # normalize field types; nbar2 falls back to nbar1 (two nearby
-        # modes at the same ambient temperature)
+        # nbar2 falls back to nbar1: two nearby modes at one temperature
         if self.nbar2 is None:
             object.__setattr__(self, "nbar2", self.nbar1)
-        for f in fields(self):
-            kind = complex if f.type == "complex" else float
-            object.__setattr__(self, f.name, kind(getattr(self, f.name)))
-        validate(self)
-
-
-def validate(params: SystemParams) -> SystemParams:
-    """Check all SystemParams invariants; return the params unchanged.
-
-    Raises ParameterError naming the first violated field.  Every
-    SystemParams runs it when built (dataclasses.replace included), so an
-    invalid parameter set cannot exist; calling it again is a no-op.
-    """
-    _require_finite_fields(params)
-    if not params.kappa2 > 0:
-        raise ParameterError("kappa2 must be positive")
-    _require_nonnegative(params, "gamma1", "gamma2", "nbar1", "nbar2")
-    return params
-
-
-def _require_nonnegative(params, *names: str) -> None:
-    for name in names:
-        if getattr(params, name) < 0:
-            raise ParameterError(f"{name} must be nonnegative")
+        _build(self, positive=("kappa2",),
+               nonnegative=("gamma1", "gamma2", "nbar1", "nbar2"))
 
 
 @dataclass(frozen=True)
@@ -106,6 +97,9 @@ class ThreeWaveParams:
     delta            three-wave frequency mismatch
     beta             complex coupling constant
     pump             dimensionless external drive amplitude
+
+    Zero widths are allowed, so the lossless (Manley-Rowe) regime is
+    representable.
     """
 
     kappa1: float
@@ -118,21 +112,7 @@ class ThreeWaveParams:
     pump: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "pump", complex(self.pump))
-        validate_three_wave(self)
-
-
-def validate_three_wave(params: ThreeWaveParams) -> ThreeWaveParams:
-    """Check ThreeWaveParams invariants; return the params unchanged.
-
-    Raises ParameterError on the first violation; every ThreeWaveParams runs
-    it when built.  Zero optical widths are allowed so the lossless
-    (Manley-Rowe) regime is representable.
-    """
-    _require_finite_fields(params)
-    _require_nonnegative(params, "kappa1", "kappa2", "Gamma")
-    return params
+        _build(self, nonnegative=("kappa1", "kappa2", "Gamma"))
 
 
 @dataclass(frozen=True)
@@ -143,8 +123,7 @@ class ThreeWaveState:
     a2: complex
     u: complex
 
-    def __post_init__(self):
-        _require_finite_fields(self)
+    __post_init__ = _build
 
 
 # ---------------------------------------------------------------------------

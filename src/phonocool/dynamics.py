@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -173,43 +174,33 @@ def _noise_densities(p: SystemParams) -> np.ndarray:
 # adiabatic elimination of the cavity
 
 
-@dataclass(frozen=True)
-class AdiabaticReduction:
-    """Reduced (b1, b2) drift after eliminating the fast cavity mode.
+def adiabatic_reduce(params: SystemParams) -> np.ndarray:
+    """Eliminate the cavity adiabatically, returning the 2x2 complex drift
+    of (b1, b2): the bare phonon block of drift_matrix minus
+    outer(conj(g), g) / (kappa2 + i delta).  So -Re m[i, i] is mode i's
+    optically broadened half-width, -Im m[i, i] its pulled frequency, and
+    -m[0, 1] = g1* g2 / (kappa2 + i delta) the cavity-mediated mode-mode
+    coupling.
 
-    matrix    the 2x2 drift: the bare phonon block of drift_matrix minus
-              outer(conj(g), g) / (kappa2 + i delta), so -Re matrix[i, i]
-              is mode i's optically broadened half-width, -Im matrix[i, i]
-              its pulled frequency, and -matrix[0, 1] = g1* g2/(kappa2 + i
-              delta) the cavity-mediated mode-mode coupling
-    guard_ok  whether kappa2 > 10 max(gamma1, gamma2) held
+    Valid for kappa2 >> gamma_i; when kappa2 > 10 max(gamma1, gamma2) fails
+    a warning names the caller's line (through collective_rates, its
+    caller's), and the algebraic reduction is still returned.  Formed with
+    no numpy warning; raises OverflowError when it leaves the float range.
     """
-
-    matrix: np.ndarray
-    guard_ok: bool
-
-
-def adiabatic_reduce(params: SystemParams) -> AdiabaticReduction:
-    """Eliminate the cavity adiabatically, returning the 2x2 phonon drift.
-
-    Valid for kappa2 >> gamma_i; outside that regime a warning is issued
-    but the algebraic reduction is still returned.  The matrix is the bare
-    phonon block of drift_matrix minus the one cavity term, formed with no
-    numpy warning; raises OverflowError when it leaves the float range.
-    """
-    guard_ok = params.kappa2 > 10.0 * max(params.gamma1, params.gamma2)
-    if not guard_ok:
+    if not params.kappa2 > 10.0 * max(params.gamma1, params.gamma2):
+        inner = sys._getframe(1).f_globals is globals()  # collective_rates
         warnings.warn(
             "adiabatic elimination assumes kappa2 >> gamma_i; "
             f"kappa2 = {params.kappa2:g} vs max gamma = "
-            f"{max(params.gamma1, params.gamma2):g}", stacklevel=2)
+            f"{max(params.gamma1, params.gamma2):g}",
+            stacklevel=3 if inner else 2)
     g = np.array([params.g1, params.g2])
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = (drift_matrix(params)[1:, 1:] - np.outer(np.conj(g), g)
                   / (params.kappa2 + 1j * params.delta))
     if not np.isfinite(matrix).all():
         raise OverflowError("reduced phonon drift left the float range")
-    return AdiabaticReduction(matrix=matrix, guard_ok=guard_ok)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -246,7 +237,7 @@ def collective_rates(params: SystemParams) -> CollectiveModes:
     vanish, and eigenvalues or overlaps tie, below one fixed relative
     tolerance of 1e-9 (no tolerance argument).  Raises OverflowError when a
     rate or eigenvector leaves the float range."""
-    m = adiabatic_reduce(params).matrix
+    m = adiabatic_reduce(params)
     scale = max(np.abs(m).max(), 1e-300)
     ip, im_ = 0, 1
     if max(abs(m[0, 1]), abs(m[1, 0])) <= _TIE_TOL * scale:

@@ -173,20 +173,22 @@ def phonon_spectrum(params: SystemParams, mode: int, omegas,
 
     With normalized=True returns gamma_i S / (2 nbar_i), whose uncoupled
     peak equals one.  omegas must be a 1-D array of at least one finite
-    point.  A pole raises SingularityError and a density or cavity response
-    beyond the float range OverflowError, all before the warning that the
-    grid does not span 20 half-widths around both resonances.
+    point.  A pole raises SingularityError, a density or response beyond
+    the float range OverflowError, and a grid not strictly increasing or a
+    normalization at zero occupancy ValueError, all before the warning that
+    the grid does not span 20 half-widths around both resonances.
     """
     gamma, _, nbar, _ = _mode(params, mode)
     omegas = _grid(omegas)
     values = _phonon_density(params, mode, omegas)  # raises on a pole
-    _grid_span_warning(params, omegas)
     if normalized:
         if nbar <= 0:
             raise ValueError("normalized spectrum needs a positive occupancy")
         values = gamma * values / (2 * nbar)
-    return SpectrumCurve(omegas=omegas, values=values,
-                         kind=f"phonon{mode}", normalized=normalized)
+    curve = SpectrumCurve(omegas=omegas, values=values,
+                          kind=f"phonon{mode}", normalized=normalized)
+    _grid_span_warning(params, omegas)
+    return curve
 
 
 def antistokes_spectrum(params: SystemParams, omegas) -> SpectrumCurve:

@@ -116,7 +116,7 @@ def test_criterion_5_collective_modes():
     g = 0.3
     p = SystemParams(kappa2=1.0, delta=0.0, omega=0.0, gamma1=0.0,
                      gamma2=0.0, g1=g, g2=g, nbar1=1.0)
-    eigvals = np.sort_complex(np.linalg.eigvals(adiabatic_reduce(p).matrix))
+    eigvals = np.sort_complex(np.linalg.eigvals(adiabatic_reduce(p)))
     err_zero = abs(eigvals[1] - 0.0)
     err_sup = abs(eigvals[0] - (-2 * g**2))
     modes = collective_rates(p)

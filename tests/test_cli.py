@@ -405,7 +405,6 @@ def test_version(argv, capsys):
     assert capsys.readouterr().out == "phonocool 0.1.0\n"
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
 def test_console_script_is_main():
     import tomllib
     pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
@@ -840,6 +839,24 @@ def test_grid_span_beyond_the_float_range_is_rejected_by_both_flags(
                         f"error: the span from {start} to {stop} must be "
                         "finite, got -1.7e+308 to 1.7e+308\n",
                         tmp_path / "out.csv", capsys, 1)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--omega-min", "1", "--omega-max", "1", "--count", "3"],
+     "error: omegas must be strictly increasing\n"),
+    (["--omega-min=-0.1", "--omega-max", "0.1", "--count", "5",
+      "--normalized", "--nbar1", "0"],
+     "error: normalized spectrum needs a positive occupancy\n")],
+    ids=["flat-grid", "normalized-without-occupancy"])
+def test_rejected_spectrum_does_not_warn_of_its_grid(flags, message, tmp_path,
+                                                   capsys):
+    # both grids are short of the resonances' span; the rejection is the
+    # one line, and the span warning never comes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_rejected(["spectrum", "--gamma1", "0.01"] + flags, message,
+                        tmp_path / "x.csv", capsys, 1)
+    assert caught == []
 
 
 @pytest.mark.parametrize("flag", [

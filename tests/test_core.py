@@ -11,8 +11,6 @@ from phonocool import (
     SystemParams,
     ThreeWaveParams,
     ThreeWaveState,
-    validate,
-    validate_three_wave,
 )
 
 
@@ -22,37 +20,38 @@ FIG2 = dict(kappa2=1.0, delta=0.0, omega=0.1, gamma1=0.01, gamma2=0.01,
 
 def test_validate_accepts_figure_parameters():
     p = SystemParams(**FIG2)
-    assert validate(p) is p
+    assert replace(p) == p
 
 
 def test_validate_rejects_zero_kappa2():
     with pytest.raises(ParameterError, match="kappa2 must be positive"):
-        validate(SystemParams(kappa2=0.0))
+        SystemParams(kappa2=0.0)
 
 
 def test_validate_rejects_negative_gamma1():
     with pytest.raises(ParameterError, match="gamma1 must be nonnegative"):
-        validate(SystemParams(kappa2=1.0, gamma1=-0.01))
+        SystemParams(kappa2=1.0, gamma1=-0.01)
 
 
 def test_validate_rejects_negative_occupancy():
     with pytest.raises(ParameterError, match="nbar2 must be nonnegative"):
-        validate(SystemParams(kappa2=1.0, nbar1=1.0, nbar2=-1.0))
+        SystemParams(kappa2=1.0, nbar1=1.0, nbar2=-1.0)
 
 
 def test_validate_rejects_non_finite():
     with pytest.raises(ParameterError, match="delta must be finite"):
-        validate(SystemParams(kappa2=1.0, delta=math.inf))
+        SystemParams(kappa2=1.0, delta=math.inf)
     with pytest.raises(ParameterError, match="g1 must be finite"):
-        validate(SystemParams(kappa2=1.0, g1=complex("nan")))
+        SystemParams(kappa2=1.0, g1=complex("nan"))
 
 
 def test_validate_is_idempotent():
-    p = validate(SystemParams(**FIG2))
-    assert validate(validate(p)) == validate(p)
+    # rebuilding a checked set runs the rule again and changes nothing
+    p = SystemParams(**FIG2)
+    assert replace(replace(p)) == replace(p) == p
 
 
-# each invalid field with the message validate raises for it
+# each invalid field with the message its type raises for it when built
 SYSTEM_INVALID = [
     ("kappa2", 0.0, "kappa2 must be positive"),
     ("kappa2", -1.0, "kappa2 must be positive"),
@@ -91,14 +90,14 @@ def test_couplings_coerced_to_complex():
 
 def test_three_wave_params_allow_lossless_case():
     p = ThreeWaveParams(kappa1=0.0, kappa2=0.0, Gamma=0.0, beta=1.0)
-    assert validate_three_wave(p) is p
+    assert replace(p) == p
 
 
 def test_three_wave_params_reject_negative_rates():
     with pytest.raises(ParameterError, match="kappa1"):
-        validate_three_wave(ThreeWaveParams(kappa1=-1.0, kappa2=1.0, Gamma=0.0))
+        ThreeWaveParams(kappa1=-1.0, kappa2=1.0, Gamma=0.0)
     with pytest.raises(ParameterError, match="Gamma"):
-        validate_three_wave(ThreeWaveParams(kappa1=1.0, kappa2=1.0, Gamma=-0.1))
+        ThreeWaveParams(kappa1=1.0, kappa2=1.0, Gamma=-0.1)
 
 
 LOSSY = dict(kappa1=0.3, kappa2=1.0, Gamma=0.1, Delta1=0.4, Delta2=-0.25,
@@ -124,8 +123,8 @@ def test_three_wave_params_reject_invalid_fields_when_built(name, value, message
 
 
 def test_only_core_calls_the_parameter_rules():
-    # the parameter types run their rules when built; no other module
-    # re-checks them
+    # the parameter types run their one rule when built; no other module
+    # runs it again
     calls = []
     for path in pathlib.Path(phonocool.__file__).parent.glob("*.py"):
         if path.name == "core.py":
@@ -134,9 +133,24 @@ def test_only_core_calls_the_parameter_rules():
             func = getattr(node, "func", None)
             if (isinstance(node, ast.Call)
                     and getattr(func, "attr", getattr(func, "id", None))
-                    in ("validate", "validate_three_wave")):
+                    == "_build"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_three_wave_params_coerce_every_field_as_system_params_do():
+    with pytest.raises(TypeError):
+        SystemParams(delta=0.4 + 0.3j)
+    with pytest.raises(TypeError):
+        ThreeWaveParams(kappa1=1, kappa2=1, Gamma=0.1, Delta1=0.4 + 0.3j,
+                        beta=0.5)
+    p = ThreeWaveParams(kappa1=1, kappa2=1, Gamma=0.1, delta="0.5", beta=0.5)
+    assert type(p.delta) is float and p.delta == 0.5
+    assert [type(getattr(p, f)) for f in ("kappa1", "beta", "pump")] == [
+        float, complex, complex]
+    s = ThreeWaveState(a1=1, a2=0.0, u="1-2j")
+    assert (s.a1, s.a2, s.u) == (1 + 0j, 0j, 1 - 2j)
+    assert {type(v) for v in (s.a1, s.a2, s.u)} == {complex}
 
 
 def test_three_wave_state_requires_finite_components():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from phonocool import dynamics
-from phonocool.dynamics import AdiabaticReduction
 from phonocool import (
     IntegrationError,
     SystemParams,
@@ -285,24 +284,39 @@ def test_adiabatic_single_mode_rate_and_shift():
     p = SystemParams(kappa2=1.0, delta=0.4, omega=0.1, gamma1=0.01,
                      gamma2=0.01, g1=0.3, g2=0.0, nbar1=1.0)
     red = adiabatic_reduce(p)
+    assert type(red) is np.ndarray
+    assert red.shape == (2, 2) and red.dtype == complex
     lor = 1.0**2 + 0.4**2
     # the broadened width and the pull of mode 1 (resonance +Omega)
-    assert -red.matrix[0, 0].real == pytest.approx(0.01 + 0.09 / lor)
-    assert -red.matrix[0, 0].imag - 0.1 == pytest.approx(-0.4 * 0.09 / lor)
-    assert red.matrix[0, 1] == 0
+    assert -red[0, 0].real == pytest.approx(0.01 + 0.09 / lor)
+    assert -red[0, 0].imag - 0.1 == pytest.approx(-0.4 * 0.09 / lor)
+    assert red[0, 1] == 0
 
 
 def test_adiabatic_effective_rate_arithmetic():
     p = SystemParams(kappa2=1.0, delta=0.0, omega=0.1, gamma1=0.01,
                      gamma2=0.01, g1=0.3, g2=0.0, nbar1=1.0)
     red = adiabatic_reduce(p)
-    assert -red.matrix[0, 0].real == pytest.approx(0.1)
+    assert -red[0, 0].real == pytest.approx(0.1)
 
 
 def test_adiabatic_guard_warns_when_invalid():
     p = SystemParams(kappa2=1.0, gamma1=0.5, gamma2=0.5, nbar1=1.0)
     with pytest.warns(UserWarning, match="adiabatic"):
         adiabatic_reduce(p)
+
+
+@pytest.mark.parametrize("route", [adiabatic_reduce, collective_rates],
+                         ids=["adiabatic_reduce", "collective_rates"])
+def test_adiabatic_warning_names_the_callers_line(route):
+    p = SystemParams(kappa2=1.0, gamma1=0.5, gamma2=0.5, g1=0.3, g2=0.2,
+                     nbar1=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        route(p)
+    assert [(w.category, w.filename) for w in caught] == [
+        (UserWarning, __file__)]
+    assert "adiabatic elimination" in str(caught[0].message)
 
 
 def test_adiabatic_matches_full_drift_at_figure_params():
@@ -315,7 +329,7 @@ def test_adiabatic_matches_full_drift_at_figure_params():
                      gamma2=0.01, g1=0.3, g2=0.0, nbar1=100.0)
     red = adiabatic_reduce(p)
     full = np.linalg.eigvals(drift_matrix(p))
-    reduced = np.linalg.eigvals(red.matrix)
+    reduced = np.linalg.eigvals(red)
     phonon_like = sorted(full, key=lambda z: -z.real)[:2]
     for lam in reduced:
         mu = min(phonon_like, key=lambda m: abs(lam - m))
@@ -328,7 +342,7 @@ def test_adiabatic_collective_limit():
     g = 0.3
     p = SystemParams(kappa2=1.0, delta=0.0, omega=0.0, gamma1=0.0,
                      gamma2=0.0, g1=g, g2=g, nbar1=1.0)
-    w, v = np.linalg.eig(adiabatic_reduce(p).matrix)
+    w, v = np.linalg.eig(adiabatic_reduce(p))
     w_sorted = sorted(w, key=lambda z: z.real)
     assert w_sorted[0] == pytest.approx(-2 * g**2, abs=1e-14)
     assert w_sorted[1] == pytest.approx(0.0, abs=1e-14)
@@ -340,8 +354,8 @@ def test_adiabatic_reduction_is_schur_complement_for_complex_couplings():
     red = adiabatic_reduce(p)
     m = drift_matrix(p)
     schur = m[1:, 1:] - np.outer(m[1:, 0], m[0, 1:]) / m[0, 0]
-    assert np.allclose(red.matrix, schur, rtol=1e-14, atol=1e-16)
-    assert -red.matrix[0, 1] == pytest.approx(
+    assert np.allclose(red, schur, rtol=1e-14, atol=1e-16)
+    assert -red[0, 1] == pytest.approx(
         np.conj(p.g1) * p.g2 / (p.kappa2 + 1j * p.delta), rel=1e-14)
 
 
@@ -403,13 +417,12 @@ def test_collective_rates_degenerate_reported():
     [[-1, 0.5], [-0.5, -1]],  # eigenvectors score equally against b1 +- b2
 ], ids=["eigenvalue-tie", "overlap-tie"])
 def test_collective_rates_labels_ties_degenerate(matrix, monkeypatch):
-    red = AdiabaticReduction(matrix=np.array(matrix, dtype=complex),
-                             guard_ok=True)
+    red = np.array(matrix, dtype=complex)
     monkeypatch.setattr(dynamics, "adiabatic_reduce", lambda params: red)
     modes = collective_rates(FIG2)
     assert modes.labeling == "degenerate"
     # a tie keeps the eigensolver's order
-    w, _ = np.linalg.eig(red.matrix)
+    w, _ = np.linalg.eig(red)
     assert (modes.rate_plus, modes.rate_minus) == (-w[0], -w[1])
 
 
@@ -418,7 +431,7 @@ def test_collective_rates_refuse_an_infinite_rate():
     # eigenvalue, about -2e308, is not
     p = SystemParams(kappa2=1.0, gamma1=0.01, gamma2=0.01,
                      g1=1e154, g2=1e154, nbar1=1.0)
-    assert np.isfinite(dynamics.adiabatic_reduce(p).matrix).all()
+    assert np.isfinite(dynamics.adiabatic_reduce(p)).all()
     with pytest.raises(OverflowError, match="float range"):
         collective_rates(p)
     # just inside the range, the rates are returned

@@ -199,11 +199,18 @@ def test_simulate_rejects_partial_steps(t_end, burn_in, name):
         simulate_ensemble(OU, n_traj=2, t_end=t_end, dt=3.0, burn_in=burn_in)
 
 
-@pytest.mark.parametrize("t_end, dt, burn_in", [
-    (400.0, 0.0, 200.0), (200.0, 0.5, 200.0), (100.0, 0.5, 200.0)],
-    ids=["dt-zero", "t_end-at-burn_in", "t_end-before-burn_in"])
-def test_simulate_rejects_an_empty_record(t_end, dt, burn_in):
-    with pytest.raises(ValueError, match="need dt > 0 and t_end > burn_in"):
+NEED = "need dt > 0 and t_end > burn_in"
+# t_end > burn_in, but both round to 10^10 whole steps: no step is recorded
+ROUNDED_EMPTY = (1e10 + 0.5, 1.0, 1e10, "no recorded samples")
+
+
+@pytest.mark.parametrize("t_end, dt, burn_in, match", [
+    (400.0, 0.0, 200.0, NEED), (200.0, 0.5, 200.0, NEED),
+    (100.0, 0.5, 200.0, NEED), ROUNDED_EMPTY],
+    ids=["dt-zero", "t_end-at-burn_in", "t_end-before-burn_in",
+         "rounded-to-no-steps"])
+def test_simulate_rejects_an_empty_record(t_end, dt, burn_in, match):
+    with pytest.raises(ValueError, match=match):
         simulate_ensemble(OU, n_traj=2, t_end=t_end, dt=dt, burn_in=burn_in)
 
 
@@ -615,6 +622,13 @@ def test_periodogram_rejects_partial_steps(t_end, burn_in, name):
 
 def _no_propagation(*args):
     raise AssertionError("propagated before rejecting the input")
+
+
+def test_periodogram_rejects_a_record_rounded_to_no_steps(monkeypatch):
+    monkeypatch.setattr(langevin, "_propagator", _no_propagation)
+    t_end, dt, burn_in, match = ROUNDED_EMPTY
+    with pytest.raises(ValueError, match=match):
+        periodogram(OU, n_traj=2, t_end=t_end, dt=dt, burn_in=burn_in)
 
 
 def test_periodogram_rejects_empty_ensemble(monkeypatch):

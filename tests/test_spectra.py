@@ -614,6 +614,20 @@ def test_pole_is_reported_before_the_grid_span_warning(curve):
             curve(p, w)
 
 
+@pytest.mark.parametrize("omegas, normalized, nbar1, match", [
+    ([1.0, 1.0, 1.0], False, 1.0, "strictly increasing"),
+    (np.linspace(-0.1, 0.1, 5), True, 0.0, "positive occupancy")],
+    ids=["flat-grid", "normalized-without-occupancy"])
+def test_rejected_spectrum_is_refused_before_the_grid_span_warning(
+        omegas, normalized, nbar1, match):
+    # neither grid spans the resonances; the rejection comes unwarned
+    p = SystemParams(kappa2=1.0, gamma1=0.01, nbar1=nbar1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            phonon_spectrum(p, 1, omegas, normalized=normalized)
+
+
 @pytest.mark.parametrize("mode", [1, 2])
 def test_adiabatic_estimate_reads_the_cavity_at_the_mode_resonance(mode):
     # detuned cavity: the two resonances +-Omega sit at different distances
